@@ -15,6 +15,7 @@ equal structurally.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ArrangementError
@@ -153,19 +154,18 @@ def _aug_row(domain, h):
     return list(h.coeffs) + [h.const]
 
 
-def restriction(arr, h):
-    """The arrangement {K cap h : K, nonempty and proper} inside h.
+def _traces(arr, h):
+    """Yield the trace on h of each other member of arr, in member order.
 
     Coordinates on h are the ambient ones with h's pivot variable
-    eliminated.  Parallel hyperplanes (empty trace) are dropped; distinct
-    hyperplanes with equal traces merge.
+    eliminated.  Members parallel to h (empty trace) are skipped; a
+    member whose trace is all of h is a duplicate and raises.
     """
     D = arr.domain
     if h not in arr.hyperplanes:
         raise ArrangementError("restriction hyperplane not in arrangement")
     piv = next(k for k, c in enumerate(h.coeffs) if not D.is_zero(c))
     # on h: x_piv = const - sum_{t != piv} coeffs[t] x_t   (pivot coeff is 1)
-    hps = []
     for k2 in arr.hyperplanes:
         if k2 == h:
             continue
@@ -181,8 +181,17 @@ def restriction(arr, h):
             if D.is_zero(const):
                 raise ArrangementError("duplicate hyperplane in restriction")
             continue  # parallel to h, empty trace
-        hps.append(make_hyperplane(D, coeffs, const))
-    return make_arrangement(D, arr.dim - 1, hps)
+        yield make_hyperplane(D, coeffs, const)
+
+
+def restriction(arr, h):
+    """The arrangement {K cap h : K, nonempty and proper} inside h.
+
+    Coordinates on h are the ambient ones with h's pivot variable
+    eliminated.  Parallel hyperplanes (empty trace) are dropped; distinct
+    hyperplanes with equal traces merge.
+    """
+    return make_arrangement(arr.domain, arr.dim - 1, _traces(arr, h))
 
 
 def ziegler_restriction(arr, h):
@@ -191,28 +200,11 @@ def ziegler_restriction(arr, h):
     Requires a central arrangement.  Each restricted hyperplane's
     multiplicity is the number of members of arr - {h} whose trace it is.
     """
-    D = arr.domain
     if not arr.is_central:
         raise ArrangementError("Ziegler restriction needs a central arrangement")
-    if h not in arr.hyperplanes:
-        raise ArrangementError("restriction hyperplane not in arrangement")
-    piv = next(k for k, c in enumerate(h.coeffs) if not D.is_zero(c))
-    counts = {}
-    for k2 in arr.hyperplanes:
-        if k2 == h:
-            continue
-        a = k2.coeffs
-        factor = a[piv]
-        coeffs = tuple(
-            D.sub(a[t], D.mul(factor, h.coeffs[t]))
-            for t in range(arr.dim)
-            if t != piv
-        )
-        if all(D.is_zero(c) for c in coeffs):
-            raise ArrangementError("duplicate hyperplane in restriction")
-        hp = make_hyperplane(D, coeffs, D.zero)
-        counts[hp] = counts.get(hp, 0) + 1
-    restricted = make_arrangement(D, arr.dim - 1, counts.keys())
+    # central, so a member with an empty trace would duplicate h and raise
+    counts = Counter(_traces(arr, h))
+    restricted = make_arrangement(arr.domain, arr.dim - 1, counts.keys())
     mult = Multiplicity(tuple(counts[h2] for h2 in restricted.hyperplanes))
     return restricted, mult
 

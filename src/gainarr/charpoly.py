@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import make_arrangement
 from .errors import ArrangementError, BoundExceeded, GraphError, VerificationError
 from .gaingraph import GROUP_Z, GainGraph, contract_edge
 from .intpoly import IntPolynomial, T_MINUS_1
-from .scalars import QQ_Q, SpanTracker, pdiv_exact, pgcd, pmul
+from .scalars import SpanTracker, is_prime
 
 DEFAULT_MAX_HYPERPLANES = 24
 
@@ -59,24 +58,6 @@ class IntersectionPoset:
         return len(self.flats)
 
 
-def _scaled_aug_rows(arr):
-    """Augmented rows (coeffs | const), denominator-cleared for Q(q)."""
-    D = arr.domain
-    rows = []
-    for h in arr.hyperplanes:
-        row = list(h.coeffs) + [h.const]
-        if D is QQ_Q:
-            scale = (1,)
-            for _, den in row:
-                if den != (1,):
-                    g = pgcd(scale, den)
-                    scale = pmul(pdiv_exact(scale, g), den)
-            if scale != (1,):
-                row = [D.mul(x, (scale, (1,))) for x in row]
-        rows.append(row)
-    return rows
-
-
 def intersection_poset(arr, max_hyperplanes=DEFAULT_MAX_HYPERPLANES):
     """Layered closure construction of the poset of nonempty flats."""
     if len(arr) > max_hyperplanes:
@@ -85,7 +66,9 @@ def intersection_poset(arr, max_hyperplanes=DEFAULT_MAX_HYPERPLANES):
             f" arrangement has {len(arr)}"
         )
     D = arr.domain
-    rows = _scaled_aug_rows(arr)
+    # augmented rows (coeffs | const) with Q(q) denominators cleared;
+    # scaling a row changes no SpanTracker answer
+    rows = [D.row_primitive(list(h.coeffs) + [h.const]) for h in arr.hyperplanes]
     n_h = len(rows)
 
     bottom = Flat(frozenset(), 0)
@@ -156,12 +139,7 @@ def chi_gaingraph_recursive(graph, kind):
     """
     if kind not in ("affinographic", "bias"):
         raise GraphError(f"unknown arrangement kind {kind!r}")
-    key = (kind, graph.key)
-    hit = _CHI_CACHE.get(key)
-    if hit is not None:
-        return hit
-    result = _chi_rec(graph, kind)
-    return result
+    return _chi_rec(graph, kind)
 
 
 def _chi_rec(graph, kind):
@@ -206,7 +184,7 @@ def _primes_above(bound, count):
     out = []
     cand = max(2, bound + 1)
     while len(out) < count:
-        if all(cand % d for d in range(2, int(cand**0.5) + 1)):
+        if is_prime(cand):
             out.append(cand)
         cand += 1
     return out

@@ -95,12 +95,13 @@ def cmd_chi(cfg):
     chi_c = chi_of_kind(g, "cone")
     lemma = chi_a == chi_b.shift(1)
     n_bias = len(g.vertices) + len(g.edges)
+    cap = cfg.max_hyperplanes
     poset_check = None
-    if n_bias <= cfg.max_hyperplanes:
+    if n_bias <= cap:
         poset_check = (
-            chi_poset(build_affinographic(g)) == chi_a
-            and chi_poset(build_bias(g)) == chi_b
-            and chi_poset(build_cone(build_affinographic(g))) == chi_c
+            chi_poset(build_affinographic(g), cap) == chi_a
+            and chi_poset(build_bias(g), cap) == chi_b
+            and chi_poset(build_cone(build_affinographic(g)), cap) == chi_c
         )
     _print_doc(
         cfg,

@@ -89,9 +89,6 @@ class GainGraph:
     def n_vertices(self):
         return len(self.vertices)
 
-    def has_edge(self, i, j, g):
-        return normalize_edge(self.group, i, j, g) in set(self.edges)
-
 
 def canonical_key(graph):
     return graph.key

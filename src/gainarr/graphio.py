@@ -11,17 +11,7 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .gaingraph import GROUP_Z, GainGraph, group_f
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+from .scalars import is_prime
 
 
 def parse_graph(text):
@@ -49,7 +39,7 @@ def parse_graph(text):
                     p = int(parts[2])
                 except ValueError:
                     raise ParseError(f"line {lineno}: bad group order {parts[2]!r}")
-                if not _is_prime(p):
+                if not is_prime(p):
                     raise ParseError(f"line {lineno}: group order {p} is not prime")
                 group = group_f(p)
             else:

@@ -7,10 +7,9 @@ exact.  Coefficients are stored ascending with no trailing zeros.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 
 from .errors import DomainError
-from .scalars import _poly_str, padd, pmul, pneg, psub, ptrim
+from .scalars import _poly_str, padd, pdiv_exact, pmul, pneg, psub, ptrim
 
 
 def _divisors(n):
@@ -99,41 +98,33 @@ class IntPolynomial:
         return v
 
     def shift(self, a):
-        """p(t + a), expanded exactly."""
-        out = ()
-        for c in reversed(self.coeffs):
-            out = padd(pmul(out, (a, 1)), (c,))
-        return IntPolynomial(out)
+        """p(t + a): Taylor shift by repeated synthetic division by t - a."""
+        c = list(self.coeffs)
+        for i in range(len(c) - 1):
+            for k in range(len(c) - 2, i - 1, -1):
+                c[k] += a * c[k + 1]
+        return IntPolynomial(c)
 
-    def divmod_exact(self, other):
-        """(quotient, remainder) over Q[t], or None if either leaves Z[t]."""
+    def exact_quotient(self, other):
+        """self / other in Z[t], or None when other does not divide self.
+
+        Exact: pdiv_exact runs the long division over Q[t] in integers and
+        fails exactly when a quotient coefficient leaves Z or the remainder
+        is nonzero.  The quotient over Q[t] is unique, so None means no
+        quotient exists in Z[t].
+        """
         if other.is_zero:
             raise DomainError("division by zero polynomial")
-        rem = [Fraction(c) for c in self.coeffs]
-        d = other.coeffs
-        q = [Fraction(0)] * max(0, len(rem) - len(d) + 1)
-        lead = Fraction(d[-1])
-        while len(rem) >= len(d) and rem:
-            c = rem[-1] / lead
-            k = len(rem) - len(d)
-            q[k] = c
-            for i in range(len(d)):
-                rem[k + i] -= c * d[i]
-            while rem and rem[-1] == 0:
-                rem.pop()
-        if any(x.denominator != 1 for x in q) or any(x.denominator != 1 for x in rem):
+        try:
+            return IntPolynomial(pdiv_exact(self.coeffs, other.coeffs))
+        except DomainError:
             return None
-        return (
-            IntPolynomial(tuple(int(x) for x in q)),
-            IntPolynomial(tuple(int(x) for x in rem)),
-        )
 
     def divides(self, other):
         """True when self divides other exactly in Z[t]."""
         if self.is_zero:
             return other.is_zero
-        dm = other.divmod_exact(self)
-        return dm is not None and dm[1].is_zero
+        return other.exact_quotient(self) is not None
 
     def integer_roots(self):
         """All roots with multiplicity, ascending, when the polynomial is

@@ -29,7 +29,7 @@ from .arrangement import (
     make_hyperplane,
     ziegler_restriction,
 )
-from .charpoly import chi_gaingraph_recursive, chi_poset
+from .charpoly import DEFAULT_MAX_HYPERPLANES, chi_gaingraph_recursive, chi_poset
 from .errors import ArrangementError, BoundExceeded, GraphError, VerificationError
 from .gaingraph import GROUP_Z
 from .intpoly import IntPolynomial, T_MINUS_1
@@ -112,14 +112,7 @@ def _condition_rows(domain, lines, mults, d):
                 row[i] = coef
                 row[(d + 1) + i] = D.mul(c, coef)
             rows.append(row)
-        # conditions with r in [d+1, m) are 0 = 0 only when F is zero;
-        # for r > d the expansion has no u^r term, so nothing to add
-        if m > d + 1:
-            # alpha^m with m > d+1 > deg F forces F = 0: both P1 + c P2 = 0
-            # coefficientwise, already implied by the r <= d rows only when
-            # they force F = 0; they do (they are the full triangular
-            # change of basis), so no extra rows are needed
-            pass
+        # m > d + 1 needs no rows for r > d: the r <= d rows already force F = 0
     return rows
 
 
@@ -382,7 +375,7 @@ def schur_bialternant_check(partition, gains):
 # rank 3
 
 
-def yoshinaga_free3(arr, h, chi=None, max_hyperplanes=None):
+def yoshinaga_free3(arr, h, chi=None, max_hyperplanes=DEFAULT_MAX_HYPERPLANES):
     """Freeness of a central essential rank-3 arrangement.
 
     Free iff chi factors as (t - 1)(t - d1)(t - d2) with nonnegative integer
@@ -398,14 +391,10 @@ def yoshinaga_free3(arr, h, chi=None, max_hyperplanes=None):
     if rank_of_rows(arr.domain, [list(hp.coeffs) for hp in arr.hyperplanes]) != 3:
         raise ArrangementError("expected an essential (rank 3) arrangement")
     if chi is None:
-        kwargs = {} if max_hyperplanes is None else {
-            "max_hyperplanes": max_hyperplanes
-        }
-        chi = chi_poset(arr, **kwargs)
-    dm = chi.divmod_exact(T_MINUS_1)
-    if dm is None or not dm[1].is_zero:
+        chi = chi_poset(arr, max_hyperplanes)
+    quad = chi.exact_quotient(T_MINUS_1)
+    if quad is None:
         return False, f"chi {chi} has no (t - 1) factor"
-    quad = dm[0]
     roots = quad.integer_roots()
     if roots is None:
         return False, f"chi {chi} does not split over (t - 1)"
@@ -456,7 +445,8 @@ def coincidence_3dim(graph):
     # divide out t^(codim drop) going to the essential chi
     drop = cone.dim - ess.dim
     coeffs = chi_cone.coeffs
-    assert all(c == 0 for c in coeffs[:drop])
+    if any(coeffs[:drop]):
+        raise VerificationError(f"cone chi {chi_cone} is not divisible by t^{drop}")
     chi_ess = IntPolynomial(coeffs[drop:])
     if ess.dim < 3:
         # rank <= 2 central arrangements are always free

@@ -13,7 +13,6 @@ ascending degree with no trailing zeros; the zero polynomial is ().
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -115,8 +114,9 @@ def pgcd(a, b):
 def pdiv_exact(a, b):
     """Quotient of a by b when b divides a in Q[x] and both are in Z[x].
 
-    The quotient has integer coefficients whenever b is primitive (Gauss);
-    exactness is asserted.
+    The quotient has integer coefficients whenever b is primitive (Gauss).
+    Raises DomainError exactly when b does not divide a in Z[x]: some
+    quotient coefficient leaves Z or the remainder is nonzero.
     """
     if not b:
         raise DomainError("division by zero polynomial")
@@ -137,6 +137,11 @@ def pdiv_exact(a, b):
     if any(rem):
         raise DomainError("inexact polynomial division")
     return ptrim(q)
+
+
+def is_prime(n):
+    """Primality by trial division."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _poly_str(a, var):
@@ -216,7 +221,7 @@ class PrimeField:
     """F_p with int payloads in [0, p)."""
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise DomainError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
@@ -418,7 +423,8 @@ class CyclotomicField:
     char = 0
 
     def __init__(self, p):
-        PrimeField(p)  # primality check
+        if not is_prime(p):
+            raise DomainError(f"{p} is not prime")
         self.p = p
         self.name = f"Q(zeta_{p})"
         n = p - 1
@@ -568,23 +574,6 @@ def cyclotomic(p):
 # exact linear algebra
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """An immutable exact matrix over a domain."""
-
-    domain: object
-    rows: tuple
-
-    def __post_init__(self):
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
-            raise DomainError("ragged matrix rows")
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-
 class SpanTracker:
     """Incremental row-space tracker using fraction-free elimination.
 
@@ -659,11 +648,6 @@ def rank_of_rows(domain, rows):
     for r in rows:
         t.add(r)
     return t.rank
-
-
-def matrix_rank(m: Matrix) -> int:
-    """Exact rank by elimination over the matrix's own domain."""
-    return rank_of_rows(m.domain, m.rows)
 
 
 def rref(domain, rows):

@@ -69,43 +69,20 @@ class SimpleGraph:
         return SimpleGraph(vs, tuple(sorted(pairs)))
 
 
-class SignedGraphView:
-    """Positive/negative edge view of an F_2 gain graph."""
-
-    def __init__(self, graph):
-        if graph.group != F2:
-            raise GraphError("signed view needs F_2 gains")
-        self.graph = graph
-        self.positive = tuple((i, j) for i, j, g in graph.edges if g == 0)
-        self.negative = tuple((i, j) for i, j, g in graph.edges if g == 1)
-
-    @property
-    def vertices(self):
-        return self.graph.vertices
-
-    def positive_part(self):
-        return SimpleGraph(self.vertices, self.positive)
-
-    def negative_part(self):
-        return SimpleGraph(self.vertices, self.negative)
-
-
-def _as_f2(graph_or_view):
-    if isinstance(graph_or_view, SignedGraphView):
-        return graph_or_view.graph
-    if graph_or_view.group != F2:
+def _as_f2(graph):
+    if graph.group != F2:
         raise GraphError("signed predicates need F_2 gains")
-    return graph_or_view
+    return graph
 
 
-def is_balanced_chordal(graph_or_view, max_vertices=10):
+def is_balanced_chordal(graph, max_vertices=10):
     """Every balanced cycle of length >= 4 splits over some chord.
 
     A chord is any edge class between non-consecutive cycle vertices; it
     splits the cycle into two subcycles, and for a balanced cycle the two
     are balanced or unbalanced together, so one check suffices.
     """
-    g = _as_f2(graph_or_view)
+    g = _as_f2(graph)
     by_pair = {}
     for e in g.edges:
         by_pair.setdefault((e[0], e[1]), []).append(e)
@@ -142,13 +119,13 @@ def is_balanced_chordal(graph_or_view, max_vertices=10):
     return True
 
 
-def has_induced_unbalanced_cycle(graph_or_view, max_vertices=10):
+def has_induced_unbalanced_cycle(graph, max_vertices=10):
     """Some vertex subset induces exactly one cycle, and it is unbalanced.
 
     Subsets containing a doubled pair never qualify: the induced subgraph
     is then more than a plain cycle.
     """
-    g = _as_f2(graph_or_view)
+    g = _as_f2(graph)
     n = g.n_vertices
     if n > max_vertices:
         from .errors import BoundExceeded
@@ -235,12 +212,12 @@ def _obstruction_orbit():
 _OBSTRUCTION_ORBIT = None
 
 
-def has_switching_obstruction(graph_or_view):
+def has_switching_obstruction(graph):
     """Some 4 vertices induce a graph switching-equivalent to OBSTRUCTION_4."""
     global _OBSTRUCTION_ORBIT
     if _OBSTRUCTION_ORBIT is None:
         _OBSTRUCTION_ORBIT = _obstruction_orbit()
-    g = _as_f2(graph_or_view)
+    g = _as_f2(graph)
     for subset in itertools.combinations(g.vertices, 4):
         sg = induced_subgraph(g, subset)
         if len(sg.edges) != 8:
@@ -250,9 +227,9 @@ def has_switching_obstruction(graph_or_view):
     return False
 
 
-def signed_freeness_criterion(graph_or_view, max_vertices=10):
+def signed_freeness_criterion(graph, max_vertices=10):
     """The three-part freeness characterization for signed gain graphs."""
-    g = _as_f2(graph_or_view)
+    g = _as_f2(graph)
     return (
         is_balanced_chordal(g, max_vertices=max_vertices)
         and not has_induced_unbalanced_cycle(g, max_vertices=max_vertices)
@@ -325,15 +302,12 @@ def is_threshold(g: SimpleGraph):
     return by_scan
 
 
-def edelman_reiner_freeness(graph_or_view):
+def edelman_reiner_freeness(graph):
     """For complete positive part: free iff the negative part is threshold."""
-    view = (
-        graph_or_view
-        if isinstance(graph_or_view, SignedGraphView)
-        else SignedGraphView(graph_or_view)
-    )
-    pos = set(view.positive)
-    needed = set(itertools.combinations(view.vertices, 2))
+    g = _as_f2(graph)
+    pos = {(i, j) for i, j, s in g.edges if s == 0}
+    needed = set(itertools.combinations(g.vertices, 2))
     if pos != needed:
         raise GraphError("criterion needs every positive edge present")
-    return is_threshold(view.negative_part())
+    negative = tuple((i, j) for i, j, s in g.edges if s == 1)
+    return is_threshold(SimpleGraph(g.vertices, negative))

@@ -69,6 +69,17 @@ def test_chi_poset_check_skipped_over_bound(tmp_path, capsys):
     assert doc["posetCheck"] is None
 
 
+def test_chi_poset_check_honours_max_hyperplanes(tmp_path, capsys):
+    # 23 parallel classes give 25 bias hyperplanes, over the default cap of
+    # 24; a raised --max-hyperplanes must reach the poset construction
+    edges = "".join(f"edge 1 2 {g}\n" for g in range(-11, 12))
+    path = write_graph(tmp_path, "group Z\nvertices 2\n" + edges)
+    code, doc = run_json(capsys, ["chi", path, "--max-hyperplanes", "30"])
+    assert code == 0
+    assert doc["posetCheck"] is True
+    assert doc["bounds"]["max_hyperplanes"] == 30
+
+
 def test_free_if_edges_negative_verdict(tmp_path, capsys):
     # complete zero layer on 3 vertices plus arcs 1->2, 2->3: not free
     text = (

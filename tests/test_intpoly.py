@@ -1,8 +1,35 @@
 """Integer polynomials in one variable t."""
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from gainarr.errors import DomainError
 from gainarr.intpoly import IntPolynomial, T
+
+coeff_lists = st.lists(st.integers(-50, 50), max_size=8)
+polys = coeff_lists.map(IntPolynomial)
+nonzero_polys = polys.filter(lambda p: not p.is_zero)
+
+
+def reference_quotient(a, b):
+    """a / b in Z[t] by long division over Q, or None if b does not divide a."""
+    rem = [Fraction(c) for c in a.coeffs]
+    d = b.coeffs
+    q = [Fraction(0)] * max(0, len(rem) - len(d) + 1)
+    while len(rem) >= len(d) and rem:
+        c = rem[-1] / d[-1]
+        k = len(rem) - len(d)
+        q[k] = c
+        for i in range(len(d)):
+            rem[k + i] -= c * d[i]
+        while rem and rem[-1] == 0:
+            rem.pop()
+    if rem or any(x.denominator != 1 for x in q):
+        return None
+    return IntPolynomial(int(x) for x in q)
 
 
 def test_ring_operations():
@@ -29,12 +56,37 @@ def test_from_roots_monic_and_sorted_invariance():
     assert IntPolynomial.from_roots([0, 0]).coeffs == (0, 0, 1)
 
 
-def test_divmod_exact():
+def test_exact_quotient():
     p = IntPolynomial.from_roots([1, 4, 4])
-    q, r = p.divmod_exact(IntPolynomial((-4, 1)))
-    assert r.is_zero and q == IntPolynomial.from_roots([1, 4])
+    q = p.exact_quotient(IntPolynomial((-4, 1)))
+    assert q == IntPolynomial.from_roots([1, 4])
     assert IntPolynomial((-4, 1)).divides(p)
     assert not IntPolynomial((-2, 1)).divides(p)
+    assert p.exact_quotient(IntPolynomial((-2, 1))) is None
+    with pytest.raises(DomainError):
+        p.exact_quotient(IntPolynomial(()))
+
+
+@given(polys, st.integers(-20, 20), st.integers(-20, 20))
+def test_shift_is_translation(p, a, x):
+    assert p.shift(a)(x) == p(x + a)
+    assert p.shift(a).shift(-a) == p
+
+
+@given(polys, nonzero_polys)
+def test_exact_quotient_matches_long_division(a, b):
+    assert a.exact_quotient(b) == reference_quotient(a, b)
+    assert b.divides(a) == (reference_quotient(a, b) is not None)
+
+
+@given(polys, nonzero_polys)
+def test_exact_quotient_of_a_product(q, b):
+    # divisors that do divide, monic or not; one more makes most not divide
+    a = q * b
+    assert a.exact_quotient(b) == q
+    assert b.divides(a)
+    bumped = a + IntPolynomial((1,))
+    assert bumped.exact_quotient(b) == reference_quotient(bumped, b)
 
 
 def test_integer_roots_with_multiplicity():

@@ -12,6 +12,7 @@ from gainarr.scalars import (
     SpanTracker,
     cyclotomic,
     det,
+    is_prime,
     nullspace,
     rank_of_rows,
     rref,
@@ -44,6 +45,17 @@ def test_prime_field_wraps():
     assert F5.eq(F5.inv(F5.from_int(2)), F5.from_int(3))
     with pytest.raises(DomainError):
         GF(6)
+
+
+def test_is_prime_matches_sieve():
+    n = 10_000
+    sieve = [False, False] + [True] * (n - 1)
+    for p in range(2, 101):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+    assert [is_prime(k) for k in range(-3, n + 1)] == [False] * 3 + sieve
+    with pytest.raises(DomainError, match="9 is not prime"):
+        cyclotomic(9)
 
 
 def test_rational_functions_q_algebra():
