@@ -30,6 +30,10 @@ class Hyperplane:
     coeffs: tuple
     const: object
 
+    def augmented_row(self):
+        """The row (coeffs | const) that elimination code works on."""
+        return list(self.coeffs) + [self.const]
+
 
 def make_hyperplane(domain, coeffs, const):
     """Canonicalize: scale so the first nonzero coefficient is one."""
@@ -150,10 +154,6 @@ def build_bias(graph):
 # geometric operations
 
 
-def _aug_row(domain, h):
-    return list(h.coeffs) + [h.const]
-
-
 def _traces(arr, h):
     """Yield the trace on h of each other member of arr, in member order.
 
@@ -217,12 +217,12 @@ def localization(arr, hyperplanes):
     D = arr.domain
     tracker = SpanTracker(D, arr.dim + 1)
     for h in hyperplanes:
-        row = _aug_row(D, h)
+        row = h.augmented_row()
         res = tracker.reduce(row)
         if all(D.is_zero(x) for x in res[:-1]) and not D.is_zero(res[-1]):
             raise ArrangementError("localization flat is empty")
         tracker.add(row)
-    kept = [h for h in arr.hyperplanes if tracker.contains(_aug_row(D, h))]
+    kept = [h for h in arr.hyperplanes if tracker.contains(h.augmented_row())]
     return make_arrangement(D, arr.dim, kept)
 
 

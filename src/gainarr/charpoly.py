@@ -2,7 +2,10 @@
 
 1. chi_poset: build the intersection poset of an arrangement layer by
    layer, run the Mobius recursion, and sum mu(X) t^dim(X).  Works over
-   any of the exact domains, affine or central.
+   any of the exact domains, affine or central.  Rows over Q, Q(zeta_2)
+   and Q(q) are first mapped to an exact integer image and eliminated
+   over Z; intersection_poset carries the argument that this changes no
+   flat.
 2. chi_gaingraph_recursive: deletion-contraction on the gain graph with
    base case t^l for the affinographic arrangement and (t-1)^l for the
    bias arrangement, pivoting on the lexicographically smallest edge,
@@ -16,13 +19,14 @@ The three must agree; tests and the verify suites enforce that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArrangementError, BoundExceeded, GraphError, VerificationError
 from .gaingraph import GROUP_Z, GainGraph, contract_edge
 from .intpoly import IntPolynomial, T_MINUS_1
-from .scalars import SpanTracker, is_prime
+from .scalars import QQ, QQ_Q, ZZ, CyclotomicField, SpanTracker, is_prime
 
 DEFAULT_MAX_HYPERPLANES = 24
 
@@ -59,26 +63,82 @@ class IntersectionPoset:
 
 
 def intersection_poset(arr, max_hyperplanes=DEFAULT_MAX_HYPERPLANES):
-    """Layered closure construction of the poset of nonempty flats."""
+    """Layered closure construction of the poset of nonempty flats.
+
+    The flats are built from an exact integer image of the augmented rows
+    (coeffs | const), eliminated over Z, whenever one exists:
+
+      Q          each row times the lcm of its denominators;
+      Q(zeta_2)  the single coordinate, which is a rational (zeta_2 = -1);
+      Q(q)       denominators cleared by row_primitive, then q := q0 with
+                 q0 = 2 + k! * prod(the k largest row norms);
+      F_p, Q(zeta_p) for odd p: the rows as they are, over their own domain.
+
+    Here k = min(#rows, dim + 1) bounds the size of any square minor, and
+    a row's norm is the largest coefficient l1-norm among its Z[q] entries.
+
+    q0 is exact.  Take any j x j minor over Z[q], j <= k.  Expanding the
+    determinant gives j! products of one entry per row, so its coefficient
+    l1-norm is at most k! * prod(the k largest row norms) = q0 - 2 (every
+    norm is >= 1).  By Cauchy's bound, every root r of its q-free part
+    has |r| <= 1 + max|a_i / a_lead| <= q0 - 1, so a nonzero minor stays
+    nonzero at q0, and a zero one stays zero because evaluation is a ring
+    map.  Ranks of all row and column subsets, hence every emptiness test,
+    every closure and mu, are unchanged.  Scaling rows to clear
+    denominators changes no rank either.
+
+    The covered skip is exact.  From a rank-r flat F, once H_k is joined,
+    every H_k' in closure(F v H_k) outside closure(F) is skipped: F cap H_k
+    lies in H_k', and F cap H_k and F cap H_k' are both rank-(r+1) flats,
+    so they are equal and the join is the same flat.
+    """
     if len(arr) > max_hyperplanes:
         raise BoundExceeded(
             f"poset construction capped at {max_hyperplanes} hyperplanes,"
             f" arrangement has {len(arr)}"
         )
-    D = arr.domain
-    # augmented rows (coeffs | const) with Q(q) denominators cleared;
-    # scaling a row changes no SpanTracker answer
-    rows = [D.row_primitive(list(h.coeffs) + [h.const]) for h in arr.hyperplanes]
-    n_h = len(rows)
+    rows = [h.augmented_row() for h in arr.hyperplanes]
+    D, rows = _integer_image(arr.domain, rows, arr.dim)
+    flats, mobius = _poset_from_rows(D, rows, arr.dim)
+    return IntersectionPoset(arr, flats, mobius)
 
+
+def _integer_image(D, rows, dim):
+    """(domain, rows) to eliminate over; see intersection_poset."""
+    if D is QQ_Q:
+        rows = [[n for n, _ in D.row_primitive(r)] for r in rows]
+        k = min(len(rows), dim + 1)
+        norms = sorted(max(sum(map(abs, n)) for n in r) for r in rows)
+        q0 = 2 + math.factorial(k) * math.prod(norms[len(norms) - k :])
+        return ZZ, [[IntPolynomial(n)(q0) for n in r] for r in rows]
+    if isinstance(D, CyclotomicField) and D.p == 2:
+        D, rows = QQ, [[x[0] for x in r] for r in rows]
+    if D is QQ:
+        out = []
+        for r in rows:
+            m = math.lcm(*(x.denominator for x in r))
+            out.append([x.numerator * (m // x.denominator) for x in r])
+        return ZZ, out
+    return D, rows
+
+
+def _poset_from_rows(D, rows, dim):
+    """(flats, mobius) of the augmented rows, eliminated over D.
+
+    Distinct joins from one flat F share only closure(F), and a row found
+    parallel to F lies in no join, so the closure of F v H_k is closure(F),
+    k, and the later uncovered rows that the new span contains.
+    """
+    n_h = len(rows)
     bottom = Flat(frozenset(), 0)
     found = {bottom.closure: bottom}
-    layer = [(bottom, SpanTracker(D, arr.dim + 1))]
+    layer = [(bottom, SpanTracker(D, dim + 1))]
     while layer:
         nxt = []
         for flat, tracker in layer:
+            covered = set(flat.closure)
             for k in range(n_h):
-                if k in flat.closure:
+                if k in covered:
                     continue
                 res = tracker.reduce(rows[k])
                 if all(D.is_zero(x) for x in res[:-1]):
@@ -87,9 +147,12 @@ def intersection_poset(arr, max_hyperplanes=DEFAULT_MAX_HYPERPLANES):
                     continue
                 t2 = tracker.copy()
                 t2.add(rows[k])
-                closure = frozenset(
-                    m for m in range(n_h) if t2.contains(rows[m])
+                closure = flat.closure.union(
+                    [k],
+                    (m for m in range(k + 1, n_h)
+                     if m not in covered and t2.contains(rows[m])),
                 )
+                covered |= closure
                 if closure not in found:
                     f2 = Flat(closure, flat.rank + 1)
                     found[closure] = f2
@@ -108,7 +171,7 @@ def intersection_poset(arr, max_hyperplanes=DEFAULT_MAX_HYPERPLANES):
                 acc += mobius[j]
         # flats are rank-sorted, so every Y strictly below X precedes it
         mobius.append(-acc)
-    return IntersectionPoset(arr, tuple(flats), tuple(mobius))
+    return tuple(flats), tuple(mobius)
 
 
 def chi_poset(arr, max_hyperplanes=DEFAULT_MAX_HYPERPLANES):

@@ -78,13 +78,9 @@ def _envelope(cfg, payload):
 def _load_graph(cfg):
     with open(cfg.path, encoding="utf-8") as fh:
         text = fh.read()
-    graph, warnings = parse_graph(text)
+    graph, warnings = parse_graph(text, cfg.max_vertices)
     for w in warnings:
         print(f"gainarr: {cfg.path}: {w}", file=sys.stderr)
-    if len(graph.vertices) > cfg.max_vertices:
-        raise BoundExceeded(
-            f"{len(graph.vertices)} vertices exceeds --max-vertices {cfg.max_vertices}"
-        )
     return graph
 
 

@@ -9,18 +9,20 @@ normalizes to the canonical orientation.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import BoundExceeded, ParseError
 from .gaingraph import GROUP_Z, GainGraph, group_f
-from .scalars import is_prime
+from .scalars import PRIMALITY_BOUND, is_prime
 
 
-def parse_graph(text):
+def parse_graph(text, max_vertices=None):
     """Parse the text format.  Returns (graph, warnings).
 
     Warnings report gains outside the canonical residue range for a
     finite gain group; they are reduced, not rejected.  Malformed lines,
-    loops, and out-of-range vertices raise ParseError with the line
-    number.
+    loops, out-of-range vertices and group orders too large to test for
+    primality raise ParseError with the line number.  A vertex count
+    above max_vertices (when given) raises BoundExceeded as soon as the
+    `vertices` line is read, before any graph is built.
     """
     group = None
     nverts = None
@@ -39,6 +41,11 @@ def parse_graph(text):
                     p = int(parts[2])
                 except ValueError:
                     raise ParseError(f"line {lineno}: bad group order {parts[2]!r}")
+                if p >= PRIMALITY_BOUND:
+                    raise ParseError(
+                        f"line {lineno}: group order {p} is too large"
+                        f" (primality is decided below {PRIMALITY_BOUND})"
+                    )
                 if not is_prime(p):
                     raise ParseError(f"line {lineno}: group order {p} is not prime")
                 group = group_f(p)
@@ -55,6 +62,10 @@ def parse_graph(text):
                     raise ParseError(f"line {lineno}: bad vertex count {parts[1]!r}")
                 if nverts < 1:
                     raise ParseError(f"line {lineno}: vertex count must be positive")
+                if max_vertices is not None and nverts > max_vertices:
+                    raise BoundExceeded(
+                        f"{nverts} vertices exceeds --max-vertices {max_vertices}"
+                    )
             else:
                 raise ParseError(f"line {lineno}: expected 'vertices <n>', got {line!r}")
             continue

@@ -4,7 +4,9 @@ Four fields are provided behind one small protocol: the rationals Q, prime
 fields F_p, the rational function field Q(q) in a formal variable q, and
 cyclotomic fields Q(zeta_p).  Payloads are plain immutable hashable values
 (Fraction, int, tuple pairs, Fraction tuples); all arithmetic goes through
-the domain object, which is a stateless singleton per field.
+the domain object, which is a stateless singleton per field.  The ring Z
+(int payloads) carries only what the fraction-free SpanTracker, which
+never divides, asks of a domain.
 
 Dense univariate polynomials over Z are represented as tuples of ints in
 ascending degree with no trailing zeros; the zero polynomial is ().
@@ -139,9 +141,43 @@ def pdiv_exact(a, b):
     return ptrim(q)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin to the bases above is exact for every n below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def is_prime(n):
-    """Primality by trial division."""
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    """Deterministic primality for n below PRIMALITY_BOUND.
+
+    Trial division by the 13 bases settles every n < 43^2; larger n get
+    a strong-probable-prime test to each base, which no composite below
+    PRIMALITY_BOUND passes.  Raises DomainError at or above the bound.
+    """
+    if n >= PRIMALITY_BOUND:
+        raise DomainError(f"primality of {n} is only decided below {PRIMALITY_BOUND}")
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _poly_str(a, var):
@@ -215,6 +251,32 @@ class Rationals:
 
     def __repr__(self):
         return "Q"
+
+
+class Integers:
+    """The ring Z with int payloads: the operations SpanTracker uses."""
+
+    name = "Z"
+    char = 0
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def is_zero(self, a):
+        return not a
+
+    def row_primitive(self, vec):
+        """The row divided by the gcd of its entries."""
+        g = math.gcd(*vec)
+        if g <= 1:
+            return vec
+        return [x // g for x in vec]
+
+    def __repr__(self):
+        return "Z"
 
 
 class PrimeField:
@@ -556,6 +618,7 @@ class CyclotomicField:
         return self.name
 
 
+ZZ = Integers()
 QQ = Rationals()
 QQ_Q = RationalFunctions()
 

@@ -1,9 +1,21 @@
 """Characteristic polynomials: three computations, one answer."""
 
-import pytest
+from fractions import Fraction
 
-from gainarr.arrangement import build_affinographic, build_bias, build_cone
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gainarr.arrangement import (
+    build_affinographic,
+    build_bias,
+    build_cone,
+    make_arrangement,
+    make_hyperplane,
+)
 from gainarr.charpoly import (
+    _integer_image,
+    _poset_from_rows,
     chi_finite_field_oracle,
     chi_gaingraph_recursive,
     chi_of_kind,
@@ -14,6 +26,7 @@ from gainarr.charpoly import (
 from gainarr.errors import BoundExceeded
 from gainarr.gaingraph import GROUP_Z, GainGraph, group_f
 from gainarr.intpoly import IntPolynomial, T
+from gainarr.scalars import GF, QQ, QQ_Q, ZZ, cyclotomic
 
 
 def braid(l):
@@ -114,3 +127,99 @@ def test_chi_of_kind_names():
     assert chi_of_kind(g, "bias") == chi_gaingraph_recursive(g, "bias")
     with pytest.raises(Exception):
         chi_of_kind(g, "nonsense")
+
+
+# ---------------------------------------------------------------------------
+# the integer image against elimination over the original domain
+
+
+def exact_poset(arr):
+    rows = [h.augmented_row() for h in arr.hyperplanes]
+    return _poset_from_rows(arr.domain, rows, arr.dim)
+
+
+def assert_matches_exact(arr):
+    poset = intersection_poset(arr)
+    assert (poset.flats, poset.mobius) == exact_poset(arr)
+
+
+def q_poly(D, terms):
+    """sum of c * q^e over (c, e) in terms, negative e included."""
+    acc = D.zero
+    for c, e in terms:
+        acc = D.add(acc, D.mul(D.from_int(c), D.q_power(e)))
+    return acc
+
+
+@st.composite
+def arrangements(draw, D, entry):
+    dim = draw(st.integers(1, 3))
+    hps = []
+    for _ in range(draw(st.integers(0, 7))):
+        coeffs = draw(st.lists(entry, min_size=dim, max_size=dim))
+        if all(D.is_zero(c) for c in coeffs):
+            continue
+        hps.append(make_hyperplane(D, coeffs, draw(entry)))
+    return make_arrangement(D, dim, hps)
+
+
+small = st.integers(-3, 3)
+q_entries = st.lists(st.tuples(small, st.integers(-2, 2)), max_size=3)
+ENTRIES = {
+    "Q": (QQ, st.builds(Fraction, small, st.integers(1, 4))),
+    "Q(q)": (QQ_Q, q_entries.map(lambda t: q_poly(QQ_Q, t))),
+    "F3": (GF(3), small.map(GF(3).from_int)),
+    "Q(zeta_2)": (cyclotomic(2), small.map(cyclotomic(2).from_int)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_integer_image_matches_exact_poset(name):
+    D, entry = ENTRIES[name]
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrangements(D, entry))
+    def check(arr):
+        assert_matches_exact(arr)
+
+    check()
+
+
+def test_integer_image_domains():
+    assert _integer_image(QQ, [], 2)[0] is ZZ
+    assert _integer_image(QQ_Q, [], 2)[0] is ZZ
+    assert _integer_image(cyclotomic(2), [], 2)[0] is ZZ
+    assert _integer_image(GF(3), [], 2)[0] is GF(3)
+    D3 = cyclotomic(3)
+    g = GainGraph(group_f(3), (1, 2, 3), [(1, 2, 1), (2, 3, 2), (1, 3, 0)])
+    arr = build_bias(g)
+    rows = [h.augmented_row() for h in arr.hyperplanes]
+    assert arr.domain is D3
+    assert _integer_image(D3, rows, arr.dim) == (D3, rows)
+    assert_matches_exact(arr)
+
+
+def test_q_specialization_keeps_flats_that_q_equals_2_merges():
+    # x - q y = 0 and x - 2 y = 0 are distinct lines through the origin;
+    # evaluating at q = 2 would make them one hyperplane
+    D = QQ_Q
+    arr = make_arrangement(
+        D,
+        2,
+        [
+            make_hyperplane(D, (D.one, D.neg(D.q)), D.zero),
+            make_hyperplane(D, (D.one, D.from_int(-2)), D.zero),
+        ],
+    )
+    poset = intersection_poset(arr)
+    assert len(poset.flats) == 4
+    assert (poset.flats, poset.mobius) == exact_poset(arr)
+    assert chi_poset(arr) == IntPolynomial.from_roots([1, 1])
+
+
+def test_integer_image_on_switched_bias_rows():
+    # gains of mixed sign give rows with negative powers of q
+    edges = [(1, 2, -3), (1, 2, 2), (2, 3, 1), (1, 4, -1), (3, 4, 0)]
+    g = GainGraph(GROUP_Z, (1, 2, 3, 4), edges)
+    for arr in (build_bias(g), build_affinographic(g), build_cone(build_affinographic(g))):
+        assert_matches_exact(arr)

@@ -191,6 +191,21 @@ def test_bound_exceeded_exit_code(tmp_path, capsys):
     assert "bound exceeded" in err
 
 
+def test_huge_vertex_count_is_a_bound_not_a_crash(tmp_path, capsys):
+    path = write_graph(tmp_path, "group Z\nvertices 300000000\nedge 1 2 1\n")
+    code = main(["chi", path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "300000000 vertices exceeds --max-vertices 8" in err
+
+
+def test_oversized_group_order_is_a_usage_error(tmp_path, capsys):
+    path = write_graph(tmp_path, f"group F {2**89 - 1}\nvertices 2\nedge 1 2 1\n")
+    code = main(["chi", path])
+    assert code == 2
+    assert "is too large" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["chi", "--frobnicate"])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gainarr.errors import ParseError
+from gainarr.errors import BoundExceeded, ParseError
 from gainarr.gaingraph import GROUP_Z, GainGraph, group_f
 from gainarr.graphio import parse_graph, serialize_graph
 
@@ -55,6 +55,23 @@ def test_parse_finite_group_reduces_with_warning():
 def test_parse_rejects_composite_group_order():
     with pytest.raises(ParseError, match="line 1: group order 4 is not prime"):
         parse_graph("group F 4\nvertices 2\n")
+
+
+def test_parse_large_group_orders():
+    g, _ = parse_graph("group F 2305843009213693951\nvertices 2\nedge 1 2 1\n")
+    assert g.group == group_f(2**61 - 1)
+    with pytest.raises(ParseError, match="line 1: group order 2305843009213693953 is not prime"):
+        parse_graph("group F 2305843009213693953\nvertices 2\n")
+    with pytest.raises(ParseError, match="line 2: group order .* is too large"):
+        parse_graph(f"\ngroup F {2**89 - 1}\nvertices 2\n")
+
+
+def test_parse_checks_vertex_bound_before_building():
+    text = "group Z\nvertices 300000000\nedge 1 2 1\n"
+    with pytest.raises(BoundExceeded, match="300000000 vertices exceeds --max-vertices 8"):
+        parse_graph(text, max_vertices=8)
+    g, _ = parse_graph("group Z\nvertices 8\n", max_vertices=8)
+    assert g.n_vertices == 8
 
 
 def test_parse_rejects_bad_group_line():

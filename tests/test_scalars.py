@@ -7,8 +7,10 @@ import pytest
 from gainarr.errors import DomainError
 from gainarr.scalars import (
     GF,
+    PRIMALITY_BOUND,
     QQ,
     QQ_Q,
+    ZZ,
     SpanTracker,
     cyclotomic,
     det,
@@ -56,6 +58,25 @@ def test_is_prime_matches_sieve():
     assert [is_prime(k) for k in range(-3, n + 1)] == [False] * 3 + sieve
     with pytest.raises(DomainError, match="9 is not prime"):
         cyclotomic(9)
+
+
+def test_is_prime_large():
+    assert is_prime(2**61 - 1)
+    assert is_prime(1_000_000_007)
+    # strong pseudoprime to every prime base up to 37; base 41 exposes it
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(1_000_000_007 * 998_244_353)
+    assert not is_prime((2**61 - 1) * 1_000_003)
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    with pytest.raises(DomainError, match="only decided below"):
+        is_prime(PRIMALITY_BOUND)
+
+
+def test_integers_row_primitive():
+    assert ZZ.row_primitive([6, -4, 0, 10]) == [3, -2, 0, 5]
+    assert ZZ.row_primitive([0, 0]) == [0, 0]
+    assert ZZ.row_primitive([3, 5]) == [3, 5]
+    assert rank_of_rows(ZZ, [[2, 4, 6], [1, 2, 3], [0, 1, 1]]) == 2
 
 
 def test_rational_functions_q_algebra():
