@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import ArrangementError
 from .gaingraph import GROUP_Z
-from .scalars import GF, QQ, QQ_Q, SpanTracker, cyclotomic, rref
+from .scalars import GF, QQ, QQ_Q, SpanTracker, cyclotomic, pivot_columns
 
 
 @dataclass(frozen=True)
@@ -241,8 +241,7 @@ def essentialize_with_map(arr):
     D = arr.domain
     if not arr.is_central:
         raise ArrangementError("essentialize needs a central arrangement")
-    rows = [list(h.coeffs) for h in arr.hyperplanes]
-    red, pivots = rref(D, rows)
+    pivots = pivot_columns(D, [list(h.coeffs) for h in arr.hyperplanes])
     mapping = {}
     hps = []
     for h in arr.hyperplanes:

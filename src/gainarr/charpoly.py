@@ -19,14 +19,13 @@ The three must agree; tests and the verify suites enforce that.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArrangementError, BoundExceeded, GraphError, VerificationError
 from .gaingraph import GROUP_Z, GainGraph, contract_edge
 from .intpoly import IntPolynomial, T_MINUS_1
-from .scalars import QQ, QQ_Q, ZZ, CyclotomicField, SpanTracker, is_prime
+from .scalars import SpanTracker, integer_image, is_prime
 
 DEFAULT_MAX_HYPERPLANES = 24
 
@@ -65,27 +64,20 @@ class IntersectionPoset:
 def intersection_poset(arr, max_hyperplanes=DEFAULT_MAX_HYPERPLANES):
     """Layered closure construction of the poset of nonempty flats.
 
-    The flats are built from an exact integer image of the augmented rows
-    (coeffs | const), eliminated over Z, whenever one exists:
+    The flats are built from scalars.integer_image of the augmented rows
+    (coeffs | const), eliminated over Z whenever the domain is Q, Q(zeta_2)
+    or Q(q); F_p and Q(zeta_p) for odd p keep their rows and domain.  For
+    these rows width = dim + 1, so k = min(#rows, dim + 1) bounds the size
+    of any square minor and q0 = 2 + k! * prod(the k largest row norms),
+    each norm floored at 1 so that zero rows cannot make q0 = 2.
 
-      Q          each row times the lcm of its denominators;
-      Q(zeta_2)  the single coordinate, which is a rational (zeta_2 = -1);
-      Q(q)       denominators cleared by row_primitive, then q := q0 with
-                 q0 = 2 + k! * prod(the k largest row norms);
-      F_p, Q(zeta_p) for odd p: the rows as they are, over their own domain.
-
-    Here k = min(#rows, dim + 1) bounds the size of any square minor, and
-    a row's norm is the largest coefficient l1-norm among its Z[q] entries.
-
-    q0 is exact.  Take any j x j minor over Z[q], j <= k.  Expanding the
-    determinant gives j! products of one entry per row, so its coefficient
-    l1-norm is at most k! * prod(the k largest row norms) = q0 - 2 (every
-    norm is >= 1).  By Cauchy's bound, every root r of its q-free part
-    has |r| <= 1 + max|a_i / a_lead| <= q0 - 1, so a nonzero minor stays
-    nonzero at q0, and a zero one stays zero because evaluation is a ring
-    map.  Ranks of all row and column subsets, hence every emptiness test,
-    every closure and mu, are unchanged.  Scaling rows to clear
-    denominators changes no rank either.
+    The image is exact.  A row scaled by a nonzero element of Z[q] spans
+    the same space.  Every j x j minor over Z[q], j <= k, has coefficient
+    l1-norm at most q0 - 2, so by Cauchy's bound its nonzero roots have
+    |r| <= q0 - 1: a nonzero minor stays nonzero at q0, and a zero one
+    stays zero because evaluation is a ring map.  Ranks of all row and
+    column subsets, hence every emptiness test, every closure and mu, are
+    unchanged.
 
     The covered skip is exact.  From a rank-r flat F, once H_k is joined,
     every H_k' in closure(F v H_k) outside closure(F) is skipped: F cap H_k
@@ -98,28 +90,9 @@ def intersection_poset(arr, max_hyperplanes=DEFAULT_MAX_HYPERPLANES):
             f" arrangement has {len(arr)}"
         )
     rows = [h.augmented_row() for h in arr.hyperplanes]
-    D, rows = _integer_image(arr.domain, rows, arr.dim)
+    D, rows = integer_image(arr.domain, rows)
     flats, mobius = _poset_from_rows(D, rows, arr.dim)
     return IntersectionPoset(arr, flats, mobius)
-
-
-def _integer_image(D, rows, dim):
-    """(domain, rows) to eliminate over; see intersection_poset."""
-    if D is QQ_Q:
-        rows = [[n for n, _ in D.row_primitive(r)] for r in rows]
-        k = min(len(rows), dim + 1)
-        norms = sorted(max(sum(map(abs, n)) for n in r) for r in rows)
-        q0 = 2 + math.factorial(k) * math.prod(norms[len(norms) - k :])
-        return ZZ, [[IntPolynomial(n)(q0) for n in r] for r in rows]
-    if isinstance(D, CyclotomicField) and D.p == 2:
-        D, rows = QQ, [[x[0] for x in r] for r in rows]
-    if D is QQ:
-        out = []
-        for r in rows:
-            m = math.lcm(*(x.denominator for x in r))
-            out.append([x.numerator * (m // x.denominator) for x in r])
-        return ZZ, out
-    return D, rows
 
 
 def _poset_from_rows(D, rows, dim):

@@ -29,6 +29,7 @@ from .freeness import (
 from .gaingraph import GROUP_Z
 from .graphio import parse_graph, serialize_graph
 from .lowdim import coincidence_3dim, exponent_shift_matches
+from .scalars import MAX_CYCLOTOMIC_DEGREE
 from .signed import (
     has_induced_unbalanced_cycle,
     has_switching_obstruction,
@@ -92,8 +93,11 @@ def cmd_chi(cfg):
     lemma = chi_a == chi_b.shift(1)
     n_bias = len(g.vertices) + len(g.edges)
     cap = cfg.max_hyperplanes
+    # Q(zeta_p) above MAX_CYCLOTOMIC_DEGREE is refused, so large p skip
+    # the poset check just as large arrangements do
+    bias_fits = g.group == GROUP_Z or g.group[1] - 1 <= MAX_CYCLOTOMIC_DEGREE
     poset_check = None
-    if n_bias <= cap:
+    if n_bias <= cap and bias_fits:
         poset_check = (
             chi_poset(build_affinographic(g), cap) == chi_a
             and chi_poset(build_bias(g), cap) == chi_b

@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import DomainError
-from .scalars import _poly_str, padd, pdiv_exact, pmul, pneg, psub, ptrim
+from .scalars import _poly_str, padd, pdiv_exact, peval, pmul, pneg, psub, ptrim
 
 
 def _divisors(n):
@@ -92,10 +92,7 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def __call__(self, x):
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * x + c
-        return v
+        return peval(self.coeffs, x)
 
     def shift(self, a):
         """p(t + a): Taylor shift by repeated synthetic division by t - a."""

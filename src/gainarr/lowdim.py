@@ -122,7 +122,7 @@ def exp2_solver(multi, verify=False, mult_cap=DEFAULT_MULT_CAP):
     Searches degrees upward for the first nonzero derivation; the partner
     degree is |m| - d1.  With verify=True a second derivation at degree d2
     is computed and the Saito determinant identity det = c * Q, c nonzero,
-    is asserted.
+    is checked; VerificationError is raised when it fails.
     """
     total = multi.total()
     if total > mult_cap:

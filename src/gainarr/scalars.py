@@ -6,7 +6,9 @@ cyclotomic fields Q(zeta_p).  Payloads are plain immutable hashable values
 (Fraction, int, tuple pairs, Fraction tuples); all arithmetic goes through
 the domain object, which is a stateless singleton per field.  The ring Z
 (int payloads) carries only what the fraction-free SpanTracker, which
-never divides, asks of a domain.
+never divides, asks of a domain: integer_image maps rows over Q, Q(zeta_2)
+and Q(q) to Z with every rank kept, and pivot_columns, rank_of_rows and
+the intersection poset eliminate there.
 
 Dense univariate polynomials over Z are represented as tuples of ints in
 ascending degree with no trailing zeros; the zero polynomial is ().
@@ -18,7 +20,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import BoundExceeded, DomainError
 
 # ---------------------------------------------------------------------------
 # dense integer polynomial kernels
@@ -67,6 +69,14 @@ def pscale(a, k):
     if k == 0:
         return ()
     return tuple(x * k for x in a)
+
+
+def peval(a, x):
+    """a(x) by Horner's rule."""
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
 
 
 def pcontent(a):
@@ -474,12 +484,18 @@ class RationalFunctions:
         return "Q(q)"
 
 
+# a Q(zeta_p) payload is p - 1 Fractions and a product costs (p - 1)^2 of
+# them, so larger degrees are refused before any payload is built
+MAX_CYCLOTOMIC_DEGREE = 100
+
+
 class CyclotomicField:
     """Q(zeta_p) for prime p, reduced modulo the p-th cyclotomic polynomial.
 
     Payloads are tuples of p-1 Fractions, coefficients of 1, z, ..., z^(p-2)
     where z is a primitive p-th root of unity.  For p = 2 this is Q with
-    z = -1 wearing a length-1 tuple.
+    z = -1 wearing a length-1 tuple.  Degrees p - 1 above
+    MAX_CYCLOTOMIC_DEGREE raise BoundExceeded.
     """
 
     char = 0
@@ -487,6 +503,11 @@ class CyclotomicField:
     def __init__(self, p):
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
+        if p - 1 > MAX_CYCLOTOMIC_DEGREE:
+            raise BoundExceeded(
+                f"Q(zeta_{p}) has degree {p - 1},"
+                f" above MAX_CYCLOTOMIC_DEGREE = {MAX_CYCLOTOMIC_DEGREE}"
+            )
         self.p = p
         self.name = f"Q(zeta_{p})"
         n = p - 1
@@ -704,13 +725,81 @@ class SpanTracker:
         return all(D.is_zero(x) for x in self.reduce(vec))
 
 
-def rank_of_rows(domain, rows):
+def integer_image(domain, rows):
+    """(domain, rows) to eliminate over in place of the given ones.
+
+    Every set of rows restricted to every set of columns keeps its rank.
+    Rows over Q, Q(zeta_2) and Q(q) are mapped to Z:
+
+      Q          each row times the lcm of its denominators;
+      Q(zeta_2)  the single coordinate, a rational (zeta_2 = -1), then as Q;
+      Q(q)       each row times the product of its distinct denominators,
+                 then q := q0 = 2 + k! * prod(the k largest row norms);
+      F_p, Q(zeta_p) for odd p, Z: the rows and domain as they are.
+
+    Here k = min(#rows, width) bounds the size of any square minor, width
+    = len(rows[0]), and a row's norm is the largest coefficient l1-norm
+    among its Z[q] entries, floored at 1.
+
+    A row scaled by a nonzero element of Z[q] spans the same space, so
+    clearing denominators changes no rank.  q0 is exact.  Take any j x j
+    minor over Z[q], j <= k.  Expanding the determinant gives j! products
+    of one entry per row, so its coefficient l1-norm is at most k! * prod
+    (the k largest row norms) = q0 - 2; this needs every norm >= 1, which
+    the floor gives zero rows (unfloored, a zero row could make q0 = 2).
+    By Cauchy's bound, every root r of its q-free part has |r| <= 1 +
+    max|a_i / a_lead| <= q0 - 1, so a nonzero minor stays nonzero at q0,
+    and a zero one stays zero because evaluation is a ring map.
+    """
+    if domain is QQ_Q:
+        rows = [_cleared_numerators(r) for r in rows]
+        k = min(len(rows), len(rows[0])) if rows else 0
+        norms = sorted(max([1, *(sum(map(abs, n)) for n in r)]) for r in rows)
+        q0 = 2 + math.factorial(k) * math.prod(norms[len(norms) - k :])
+        return ZZ, [[peval(n, q0) for n in r] for r in rows]
+    if isinstance(domain, CyclotomicField) and domain.p == 2:
+        domain, rows = QQ, [[x[0] for x in r] for r in rows]
+    if domain is QQ:
+        out = []
+        for r in rows:
+            m = math.lcm(*(x.denominator for x in r))
+            out.append([x.numerator * (m // x.denominator) for x in r])
+        return ZZ, out
+    return domain, rows
+
+
+def _cleared_numerators(row):
+    """The Z[q] entries of a Q(q) row times the product of its distinct
+    denominators."""
+    dens = {d for n, d in row if n} - {(1,)}
+    out = []
+    for n, d in row:
+        for other in dens - {d}:
+            n = pmul(n, other)
+        out.append(n)
+    return out
+
+
+def pivot_columns(domain, rows):
+    """The pivot columns of rref(domain, rows), found over integer_image.
+
+    Column c is a pivot exactly when the columns up to c have larger rank
+    than the columns before c, which depends only on the row space; the
+    image keeps the rank of every column prefix.  SpanTracker's rows stay
+    in echelon form, so its pivots are these columns.
+    """
     if not rows:
-        return 0
-    t = SpanTracker(domain, len(rows[0]))
+        return []
+    D, rows = integer_image(domain, rows)
+    t = SpanTracker(D, len(rows[0]))
     for r in rows:
         t.add(r)
-    return t.rank
+    return t.pivots
+
+
+def rank_of_rows(domain, rows):
+    """Rank of the row list, decided over integer_image."""
+    return len(pivot_columns(domain, rows))
 
 
 def rref(domain, rows):

@@ -14,7 +14,6 @@ from gainarr.arrangement import (
     make_hyperplane,
 )
 from gainarr.charpoly import (
-    _integer_image,
     _poset_from_rows,
     chi_finite_field_oracle,
     chi_gaingraph_recursive,
@@ -26,7 +25,7 @@ from gainarr.charpoly import (
 from gainarr.errors import BoundExceeded
 from gainarr.gaingraph import GROUP_Z, GainGraph, group_f
 from gainarr.intpoly import IntPolynomial, T
-from gainarr.scalars import GF, QQ, QQ_Q, ZZ, cyclotomic
+from gainarr.scalars import GF, QQ, QQ_Q, ZZ, cyclotomic, integer_image
 
 
 def braid(l):
@@ -186,16 +185,16 @@ def test_integer_image_matches_exact_poset(name):
 
 
 def test_integer_image_domains():
-    assert _integer_image(QQ, [], 2)[0] is ZZ
-    assert _integer_image(QQ_Q, [], 2)[0] is ZZ
-    assert _integer_image(cyclotomic(2), [], 2)[0] is ZZ
-    assert _integer_image(GF(3), [], 2)[0] is GF(3)
+    assert integer_image(QQ, [])[0] is ZZ
+    assert integer_image(QQ_Q, [])[0] is ZZ
+    assert integer_image(cyclotomic(2), [])[0] is ZZ
+    assert integer_image(GF(3), [])[0] is GF(3)
     D3 = cyclotomic(3)
     g = GainGraph(group_f(3), (1, 2, 3), [(1, 2, 1), (2, 3, 2), (1, 3, 0)])
     arr = build_bias(g)
     rows = [h.augmented_row() for h in arr.hyperplanes]
     assert arr.domain is D3
-    assert _integer_image(D3, rows, arr.dim) == (D3, rows)
+    assert integer_image(D3, rows) == (D3, rows)
     assert_matches_exact(arr)
 
 

@@ -80,6 +80,25 @@ def test_chi_poset_check_honours_max_hyperplanes(tmp_path, capsys):
     assert doc["bounds"]["max_hyperplanes"] == 30
 
 
+@pytest.mark.parametrize("p", [1000003, 2**61 - 1])
+def test_chi_poset_check_skipped_for_large_cyclotomic_degree(tmp_path, capsys, p):
+    # the bias arrangement would live over Q(zeta_p) of degree p - 1, above
+    # MAX_CYCLOTOMIC_DEGREE, so the poset cross check is skipped
+    text = f"group F {p}\nvertices 3\nedge 1 2 1\nedge 2 3 {p - 1}\nedge 1 3 0\n"
+    code, doc = run_json(capsys, ["chi", write_graph(tmp_path, text)])
+    assert code == 0
+    assert doc["posetCheck"] is None
+    assert doc["lemmaCheck"] is True
+    assert doc["chiA"]["coeffs"] == [0, 2, -3, 1]
+
+
+def test_chi_poset_check_runs_at_the_cyclotomic_degree_bound(tmp_path, capsys):
+    path = write_graph(tmp_path, "group F 101\nvertices 2\nedge 1 2 7\n")
+    code, doc = run_json(capsys, ["chi", path])
+    assert code == 0
+    assert doc["posetCheck"] is True
+
+
 def test_free_if_edges_negative_verdict(tmp_path, capsys):
     # complete zero layer on 3 vertices plus arcs 1->2, 2->3: not free
     text = (

@@ -4,6 +4,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gainarr.errors import SearchBudgetExceeded, VerificationError
 from gainarr.freeness import (
@@ -79,6 +81,52 @@ def test_yes_certificate_replays_and_tampering_detected():
         doctored.append(s)
     with pytest.raises(VerificationError):
         replay_certificate(dataclasses.replace(cert, steps=tuple(doctored)), g)
+
+
+def tamper(steps, k, how):
+    """The steps with step k dropped or its chi or exponents falsified."""
+    steps = list(steps)
+    if how == "drop":
+        del steps[k]
+        return tuple(steps)
+    s = dict(steps[k])
+    if how == "chi":
+        s["chi"] += " + 1"
+    else:
+        s["exponents"] = tuple(s["exponents"]) + (0,)
+    steps[k] = s
+    return tuple(steps)
+
+
+@st.composite
+def small_graphs(draw):
+    group = draw(st.sampled_from([GROUP_Z, F2]))
+    l = draw(st.integers(2, 3))
+    gains = range(-1, 2) if group == GROUP_Z else (0, 1)
+    pairs = [(i, j) for i in range(1, l) for j in range(i + 1, l + 1)]
+    ground = [(i, j, g) for i, j in pairs for g in gains]
+    edges = draw(st.lists(st.sampled_from(ground), min_size=1, max_size=4, unique=True))
+    return GainGraph(group, tuple(range(1, l + 1)), edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_graphs(),
+    st.sampled_from([if_along_edges, df_along_edges]),
+    st.sampled_from(["cone", "bias"]),
+    st.sampled_from(["drop", "chi", "exponents"]),
+    st.data(),
+)
+def test_tampered_certificate_fails_replay(g, decide, kind, how, data):
+    # every step but the first is a branch some other step needs, so no
+    # step can be dropped, and each step's chi and exponents are recomputed
+    cert = decide(g, kind)
+    assume(cert.verdict)
+    assert replay_certificate(cert, g)
+    k = data.draw(st.integers(0, len(cert.steps) - 1))
+    forged = dataclasses.replace(cert, steps=tamper(cert.steps, k, how))
+    with pytest.raises(VerificationError):
+        replay_certificate(forged, g)
 
 
 def test_no_certificates_do_not_replay():

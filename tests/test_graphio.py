@@ -1,6 +1,8 @@
 """Text format round trips and parse errors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gainarr.errors import BoundExceeded, ParseError
 from gainarr.gaingraph import GROUP_Z, GainGraph, group_f
@@ -130,3 +132,45 @@ def test_serialize_relabels_vertices():
     g = GainGraph(GROUP_Z, (3, 7, 9), [(3, 7, 1), (7, 9, -1)])
     text = serialize_graph(g)
     assert text == "group Z\nvertices 3\nedge 1 2 1\nedge 2 3 -1\n"
+
+
+# a valid header or a fuzzed line, then edge lines with at most one fuzzed
+# line among them: well-formed lines shuffled, token soup, arbitrary text
+numbers = st.one_of(st.integers(-3, 5), st.sampled_from([2**61 - 1, 10**30]))
+lines = st.one_of(
+    st.just("group Z"),
+    numbers.map("group F {}".format),
+    numbers.map("vertices {}".format),
+    st.tuples(numbers, numbers, numbers).map(lambda t: "edge %d %d %d" % t),
+    st.lists(
+        st.sampled_from(
+            ["group", "Z", "F", "vertices", "edge", "#", "1", "-2", "1e3", "0x10"]
+        ),
+        max_size=5,
+    ).map(" ".join),
+    st.text(max_size=12),
+)
+headers = st.sampled_from(
+    ["group Z\nvertices 3", "group F 3\nvertices 4", "group F 2\nvertices 3"]
+)
+edges = st.tuples(st.sampled_from([(1, 2), (3, 1), (2, 3)]), st.integers(-2, 2)).map(
+    lambda t: "edge %d %d %d" % (*t[0], t[1])
+)
+
+
+@st.composite
+def documents(draw):
+    body = draw(st.lists(edges, max_size=5))
+    if draw(st.booleans()):
+        body.insert(draw(st.integers(0, len(body))), draw(lines))
+    return "\n".join([draw(st.one_of(headers, lines)), *body])
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents())
+def test_fuzzed_text_raises_only_parse_errors(text):
+    try:
+        g, _ = parse_graph(text, max_vertices=8)
+    except (ParseError, BoundExceeded):
+        return
+    assert parse_graph(serialize_graph(g), max_vertices=8)[0] == g

@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gainarr.errors import DomainError
+from gainarr.errors import BoundExceeded, DomainError
 from gainarr.scalars import (
     GF,
+    MAX_CYCLOTOMIC_DEGREE,
     PRIMALITY_BOUND,
     QQ,
     QQ_Q,
@@ -16,6 +19,7 @@ from gainarr.scalars import (
     det,
     is_prime,
     nullspace,
+    pivot_columns,
     rank_of_rows,
     rref,
 )
@@ -205,3 +209,80 @@ def test_span_tracker_fraction_free_over_q_of_q():
     for row in t.rows:
         for _, den in row:
             assert den == (1,)
+
+
+def test_cyclotomic_degree_bound():
+    assert MAX_CYCLOTOMIC_DEGREE == 100
+    assert cyclotomic(101).p == 101
+    with pytest.raises(BoundExceeded, match="MAX_CYCLOTOMIC_DEGREE"):
+        cyclotomic(103)
+    with pytest.raises(BoundExceeded):
+        cyclotomic(2**61 - 1)
+
+
+# ---------------------------------------------------------------------------
+# pivot_columns over the integer image against rref over the domain itself
+
+small = st.integers(-3, 3)
+fractions = st.builds(Fraction, small, st.integers(1, 4))
+laurent = st.lists(st.tuples(small, st.integers(-2, 2)), max_size=3)
+
+
+def laurent_poly(terms):
+    """sum of c * q^e over (c, e) in terms, negative e included."""
+    D = QQ_Q
+    acc = D.zero
+    for c, e in terms:
+        acc = D.add(acc, D.mul(D.from_int(c), D.q_power(e)))
+    return acc
+
+
+def q_quotient(num, den):
+    den = laurent_poly(den)
+    num = laurent_poly(num)
+    return num if QQ_Q.is_zero(den) else QQ_Q.mul(num, QQ_Q.inv(den))
+
+
+ENTRIES = {
+    "Q": (QQ, fractions),
+    "Q(q)": (QQ_Q, st.builds(q_quotient, laurent, laurent)),
+    "F3": (GF(3), small.map(GF(3).from_int)),
+    "Q(zeta_2)": (cyclotomic(2), st.tuples(fractions)),
+    "Q(zeta_3)": (cyclotomic(3), st.tuples(fractions, fractions)),
+}
+
+
+@st.composite
+def matrices(draw, D, entry):
+    """Up to 5 rows of width 1..4; zero rows and zero entries are common."""
+    width = draw(st.integers(1, 4))
+    zero_row = st.just([D.zero] * width)
+    row = st.lists(st.one_of(st.just(D.zero), entry), min_size=width, max_size=width)
+    return draw(st.lists(st.one_of(zero_row, row), max_size=5))
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_pivot_columns_match_rref(name):
+    D, entry = ENTRIES[name]
+
+    @settings(max_examples=80, deadline=None)
+    @given(matrices(D, entry))
+    def check(rows):
+        pivots = rref(D, rows)[1]
+        assert pivot_columns(D, rows) == pivots
+        assert rank_of_rows(D, rows) == len(pivots)
+
+    check()
+
+
+def test_zero_row_keeps_q0_above_two():
+    # with a zero row the product of the row norms would be 0 and q0 = 2,
+    # where (1, q, 0) and (1, 2, 0) coincide; the norm floor keeps rank 2
+    D = QQ_Q
+    rows = [
+        [D.one, D.q, D.zero],
+        [D.one, D.from_int(2), D.zero],
+        [D.zero, D.zero, D.zero],
+    ]
+    assert pivot_columns(D, rows) == rref(D, rows)[1] == [0, 1]
+    assert rank_of_rows(D, rows) == 2
