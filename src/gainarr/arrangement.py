@@ -15,20 +15,17 @@ equal structurally.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .errors import ArrangementError
 from .gaingraph import GROUP_Z
 from .scalars import GF, QQ, QQ_Q, SpanTracker, cyclotomic, pivot_columns
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(namedtuple("Hyperplane", "coeffs const")):
     """coeffs . x = const, with coeffs canonicalized."""
 
-    coeffs: tuple
-    const: object
+    __slots__ = ()
 
     def augmented_row(self):
         """The row (coeffs | const) that elimination code works on."""
@@ -55,13 +52,10 @@ def _hp_sort_key(domain, h):
     )
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(namedtuple("Arrangement", "domain dim hyperplanes")):
     """A finite set of distinct hyperplanes in a fixed ambient dimension."""
 
-    domain: object
-    dim: int
-    hyperplanes: tuple
+    __slots__ = ()
 
     def __len__(self):
         return len(self.hyperplanes)
@@ -83,11 +77,10 @@ def make_arrangement(domain, dim, hyperplanes):
     return Arrangement(domain, dim, ordered)
 
 
-@dataclass(frozen=True)
-class Multiplicity:
+class Multiplicity(namedtuple("Multiplicity", "values")):
     """Multiplicity function on an arrangement's hyperplanes."""
 
-    values: tuple  # aligned with arrangement.hyperplanes
+    __slots__ = ()  # values is aligned with arrangement.hyperplanes
 
     def total(self):
         return sum(self.values)

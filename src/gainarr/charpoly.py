@@ -19,7 +19,7 @@ The three must agree; tests and the verify suites enforce that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ArrangementError, BoundExceeded, GraphError, VerificationError
@@ -34,28 +34,25 @@ DEFAULT_MAX_HYPERPLANES = 24
 # intersection poset
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(namedtuple("Flat", "closure rank")):
     """A nonempty intersection of hyperplanes.
 
     closure: indices of every hyperplane containing the flat.
     rank: codimension in the ambient space.
     """
 
-    closure: frozenset
-    rank: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntersectionPoset:
+class IntersectionPoset(
+    namedtuple("IntersectionPoset", "arrangement flats mobius")
+):
     """All flats ordered by reverse inclusion, with Mobius values.
 
     flats[0] is the ambient space; mobius is aligned with flats.
     """
 
-    arrangement: object
-    flats: tuple
-    mobius: tuple
+    __slots__ = ()
 
     def __len__(self):
         return len(self.flats)

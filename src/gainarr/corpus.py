@@ -8,7 +8,6 @@ byte-stable.  Random instances come from a caller-supplied seeded Random.
 from __future__ import annotations
 
 import itertools
-import math
 
 from .gaingraph import GROUP_Z, GainGraph, group_f
 
@@ -26,11 +25,6 @@ def z_ground_set(l, gain_bound):
     return sorted(
         (i, j, g) for i, j in vertex_pairs(l) for g in range(-gain_bound, gain_bound + 1)
     )
-
-
-def z_graph_count(l, max_edges, gain_bound):
-    n = len(z_ground_set(l, gain_bound))
-    return sum(math.comb(n, k) for k in range(min(max_edges, n) + 1))
 
 
 def iter_z_graphs(l, max_edges, gain_bound):

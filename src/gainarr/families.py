@@ -11,13 +11,18 @@ to two finite induced-subdigraph conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .errors import GraphError
+from .errors import BoundExceeded, GraphError
 from .gaingraph import GROUP_Z, GainGraph, group_f
 
 FAMILY_KINDS = ("coxeter", "boolean", "catalan", "shi", "dms")
+
+# a family graph holds C(l, 2) * |gains| edge classes, so its size is
+# checked arithmetically and refused before any vertex or edge is built
+MAX_FAMILY_VERTICES = 1000
+MAX_FAMILY_EDGE_CLASSES = 100_000
 
 # complete 3-vertex graph carrying both gains over the two-element group;
 # a free arrangement fixture (only freeness is asserted of it)
@@ -37,6 +42,9 @@ def make_family(kind, l, m=0):
     catalan: all [i,j,g] with -m <= g <= m.
     shi: all [i,j,g] with -(m-1) <= g <= m, m >= 1.
     dms: the catalan graph, meant to be read through its bias arrangement.
+
+    More than MAX_FAMILY_VERTICES vertices or MAX_FAMILY_EDGE_CLASSES edge
+    classes raise BoundExceeded.
     """
     if kind not in FAMILY_KINDS:
         raise GraphError(f"unknown family kind {kind!r}")
@@ -44,24 +52,27 @@ def make_family(kind, l, m=0):
         raise GraphError("families need at least two vertices")
     if m < 0:
         raise GraphError("multiplicity parameter must be nonnegative")
-    vertices = range(1, l + 1)
     if kind == "boolean":
-        return GainGraph(GROUP_Z, vertices, [])
-    if kind == "coxeter":
-        gains = [0]
+        lo, hi = 0, -1
+    elif kind == "coxeter":
+        lo, hi = 0, 0
     elif kind in ("catalan", "dms"):
-        gains = range(-m, m + 1)
+        lo, hi = -m, m
     else:  # shi
         if m < 1:
             raise GraphError("shi needs m >= 1")
-        gains = range(-(m - 1), m + 1)
-    edges = [
-        (i, j, g)
-        for i in vertices
-        for j in vertices
-        if i < j
-        for g in gains
-    ]
+        lo, hi = -(m - 1), m
+    classes = l * (l - 1) // 2 * (hi - lo + 1)
+    if l > MAX_FAMILY_VERTICES or classes > MAX_FAMILY_EDGE_CLASSES:
+        raise BoundExceeded(
+            f"{kind} family with l = {l}, m = {m} has {l} vertices and"
+            f" {classes} edge classes; the caps are MAX_FAMILY_VERTICES ="
+            f" {MAX_FAMILY_VERTICES} and MAX_FAMILY_EDGE_CLASSES ="
+            f" {MAX_FAMILY_EDGE_CLASSES}"
+        )
+    vertices = range(1, l + 1)
+    gains = range(lo, hi + 1)
+    edges = [(i, j, g) for i in vertices for j in range(i + 1, l + 1) for g in gains]
     return GainGraph(GROUP_Z, vertices, edges)
 
 
@@ -82,12 +93,10 @@ def raney(l, s, r):
     return int(value)
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(namedtuple("Digraph", "n_vertices arcs")):
     """Directed graph on 1..n with every arc ascending (i < j)."""
 
-    n_vertices: int
-    arcs: tuple
+    __slots__ = ()
 
     @staticmethod
     def make(n, arcs):

@@ -25,13 +25,11 @@ fresh subgraphs one top-level call may analyze.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .charpoly import chi_of_kind
 from .errors import GraphError, SearchBudgetExceeded, VerificationError
 from .gaingraph import GainGraph, contract_edge, induced_subgraph
-from .intpoly import IntPolynomial
 
 DEFAULT_NODE_CAP = 100_000
 _SUBSCAN_MAX_VERTICES = 10
@@ -229,8 +227,13 @@ def _search_df(graph, kind, chi, budget):
 # certificates
 
 
-@dataclass(frozen=True)
-class FreenessCertificate:
+class FreenessCertificate(
+    namedtuple(
+        "FreenessCertificate",
+        "decider kind graph_key verdict chi exponents steps refutation"
+        " nodes_explored",
+    )
+):
     """Replayable record of one decider run.
 
     For a yes verdict, steps lists every subgraph of the successful
@@ -239,15 +242,7 @@ class FreenessCertificate:
     explored search tree.
     """
 
-    decider: str
-    kind: str
-    graph_key: tuple
-    verdict: bool
-    chi: IntPolynomial
-    exponents: tuple | None
-    steps: tuple
-    refutation: dict | None
-    nodes_explored: int
+    __slots__ = ()
 
     def to_json(self):
         return {

@@ -12,7 +12,7 @@ all return new graphs or plain data; nothing here mutates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BoundExceeded, GraphError
 
@@ -169,8 +169,7 @@ def induced_subgraph(graph, vertices):
 # cycles
 
 
-@dataclass(frozen=True)
-class CycleWithGain:
+class CycleWithGain(namedtuple("CycleWithGain", "vertices edges gain")):
     """A cycle on distinct vertices with one chosen edge per step.
 
     vertices: traversal order (v0, ..., v_{k-1}), closing back to v0.
@@ -178,9 +177,7 @@ class CycleWithGain:
     gain: total gain summed along the traversal.
     """
 
-    vertices: tuple
-    edges: tuple
-    gain: int
+    __slots__ = ()
 
     def __len__(self):
         return len(self.vertices)

@@ -19,7 +19,7 @@ coincidence_3dim runs the coned affinographic test and the bias test on a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arrangement import (
     build_affinographic,
@@ -44,17 +44,14 @@ def clear_caches():
     _EXP2_CACHE.clear()
 
 
-@dataclass(frozen=True)
-class Multiarrangement2D:
+class Multiarrangement2D(namedtuple("Multiarrangement2D", "domain lines mults")):
     """Lines through the origin of a plane with positive multiplicities.
 
     lines are canonical coefficient pairs (a, b), first nonzero entry one;
     mults is aligned with lines.
     """
 
-    domain: object
-    lines: tuple
-    mults: tuple
+    __slots__ = ()
 
     def total(self):
         return sum(self.mults)
@@ -410,14 +407,20 @@ def yoshinaga_free3(arr, h, chi=None, max_hyperplanes=DEFAULT_MAX_HYPERPLANES):
     )
 
 
-@dataclass(frozen=True)
-class CoincidenceResult:
-    free_cone: bool
-    free_bias: bool
-    detail_cone: object
-    detail_bias: object
-    chi_affin: IntPolynomial
-    chi_bias: IntPolynomial
+class CoincidenceResult(
+    namedtuple(
+        "CoincidenceResult",
+        "free_cone free_bias detail_cone detail_bias chi_affin chi_bias",
+    )
+):
+    """Rank-3 freeness of the coned affinographic and the bias side.
+
+    detail_cone and detail_bias hold a free side's exponents as a tuple or
+    the reason a side is not free as a string; chi_affin and chi_bias are
+    chi of the affinographic and the bias arrangement.
+    """
+
+    __slots__ = ()
 
 
 def coincidence_3dim(graph):

@@ -18,7 +18,7 @@ the negative part being a threshold graph.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import GraphError
 from .gaingraph import (
@@ -48,12 +48,10 @@ OBSTRUCTION_4 = GainGraph(
 )
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(namedtuple("SimpleGraph", "vertices edges")):
     """An ordinary graph: sorted vertices, sorted i < j pairs."""
 
-    vertices: tuple
-    edges: tuple
+    __slots__ = ()
 
     @staticmethod
     def make(vertices, edges):

@@ -218,6 +218,22 @@ def test_huge_vertex_count_is_a_bound_not_a_crash(tmp_path, capsys):
     assert "300000000 vertices exceeds --max-vertices 8" in err
 
 
+@pytest.mark.parametrize(
+    "argv, counts",
+    [
+        ("shi --l 200000 --m 1", "200000 vertices and 39999800000 edge"),
+        ("catalan --l 2 --m 1000000000", "2 vertices and 2000000001 edge"),
+        ("boolean --l 1000000000", "1000000000 vertices and 0 edge"),
+    ],
+)
+def test_huge_family_is_a_bound_not_a_crash(capsys, argv, counts):
+    code = main(["family", *argv.split()])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert counts in captured.err
+
+
 def test_oversized_group_order_is_a_usage_error(tmp_path, capsys):
     path = write_graph(tmp_path, f"group F {2**89 - 1}\nvertices 2\nedge 1 2 1\n")
     code = main(["chi", path])

@@ -1,14 +1,17 @@
 """Named families, Raney counts, and the digraph freeness criteria."""
 
 import math
+import tracemalloc
 
 import pytest
 
 from gainarr.arrangement import build_bias
 from gainarr.charpoly import chi_gaingraph_recursive, region_count
-from gainarr.errors import GraphError
+from gainarr.errors import BoundExceeded, GraphError
 from gainarr.families import (
     EDELMAN_REINER_3,
+    MAX_FAMILY_EDGE_CLASSES,
+    MAX_FAMILY_VERTICES,
     Digraph,
     ab_free_criterion,
     ab_supersolvable_criterion,
@@ -56,6 +59,39 @@ def test_family_rejects_bad_parameters():
         make_family("catalan", 3, -1)
     with pytest.raises(GraphError):
         make_family("shi", 3, 0)
+
+
+@pytest.mark.parametrize(
+    "kind, l, m",
+    [
+        ("shi", 200_000, 1),
+        ("catalan", 2, 10**9),
+        ("boolean", 10**9, 0),
+        ("dms", 3, 10**30),
+    ],
+)
+def test_family_caps_refuse_before_building(kind, l, m):
+    # the sizes are checked arithmetically: nothing graph-sized is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceeded):
+            make_family(kind, l, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_family_caps_are_inclusive():
+    boolean = make_family("boolean", MAX_FAMILY_VERTICES)
+    assert len(boolean.vertices) == MAX_FAMILY_VERTICES
+    with pytest.raises(BoundExceeded):
+        make_family("boolean", MAX_FAMILY_VERTICES + 1)
+    # shi on two vertices has 2m edge classes
+    m = MAX_FAMILY_EDGE_CLASSES // 2
+    assert len(make_family("shi", 2, m).edges) == MAX_FAMILY_EDGE_CLASSES
+    with pytest.raises(BoundExceeded):
+        make_family("shi", 2, m + 1)
 
 
 def test_digraph_make_validates_arcs():
