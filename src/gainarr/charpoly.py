@@ -12,7 +12,9 @@
    memoized on the graph's canonical key.
 3. chi_finite_field_oracle: count complement points of the affinographic
    arrangement of an integer-gain graph over enough large primes and
-   interpolate; extra primes cross-check the interpolation.
+   interpolate; extra primes cross-check the interpolation.  The count is
+   pure Python and reduced by translation and by the last vertex, as its
+   docstring argues; it shares no code with 1 or 2.
 
 The three must agree; tests and the verify suites enforce that.
 """
@@ -223,12 +225,48 @@ def _primes_above(bound, count):
     return out
 
 
+def _complement_count(l, edges, p):
+    """Points of F_p^l off every hyperplane x_i - x_j = g, (i, j, g) in
+    edges with 0 <= i < j < l; see chi_finite_field_oracle."""
+    if l < 2:
+        return p**l
+    # x_j must avoid x_i - g for each edge (i, j, g) to an earlier vertex i
+    back = [[] for _ in range(l)]
+    for i, j, g in edges:
+        back[j].append((i, -g))
+    xs = [0] * l
+
+    def count(k):
+        forbidden = {(xs[i] + s) % p for i, s in back[k]}
+        if k == l - 1:
+            return p - len(forbidden)
+        total = 0
+        for v in range(p):
+            if v not in forbidden:
+                xs[k] = v
+                total += count(k + 1)
+        return total
+
+    return p * count(1)
+
+
 def chi_finite_field_oracle(graph, n_control=2, max_vertices=5):
     """Point-count chi of the affinographic arrangement of a Z-gain graph.
 
     Counts complement points over the first l+1 primes exceeding
     2*l*max|gain| + l, Lagrange-interpolates the degree-l polynomial, and
     checks the result against n_control further primes.
+
+    The count is exact, pure Python, and visits at most p^(l-2) points.
+    Translation: x -> x + c(1, ..., 1) maps every hyperplane x_i - x_j = g
+    onto itself, so it permutes the complement.  Each orbit has p points,
+    exactly one of them with x_0 = 0, so the complement has p times as
+    many points as its slice x_0 = 0.  Last vertex: a point lies in the
+    complement exactly when each x_j avoids the values x_i - g of its
+    edges (i, j, g) to earlier vertices i, because every hyperplane is
+    tested once, at its later vertex.  So x_1, ..., x_(l-2) run over their
+    allowed values only, and the last coordinate, whose allowed values are
+    the p minus the distinct forbidden ones, is counted, not enumerated.
     """
     if graph.group != GROUP_Z:
         raise GraphError("finite field oracle needs integer gains")
@@ -237,30 +275,13 @@ def chi_finite_field_oracle(graph, n_control=2, max_vertices=5):
         raise BoundExceeded(
             f"finite field oracle capped at {max_vertices} vertices"
         )
-    import numpy as np
-
     maxg = max((abs(g) for _, _, g in graph.edges), default=0)
     bound = 2 * l * maxg + l
     primes = _primes_above(bound, l + 1 + n_control)
     idx = {v: k for k, v in enumerate(graph.vertices)}
+    # edges are canonical and vertices sorted, so idx[i] < idx[j]
     edges = [(idx[i], idx[j], g) for i, j, g in graph.edges]
-
-    counts = []
-    for p in primes:
-        total = 0
-        # chunk on the first coordinate so memory stays p^(l-1)-sized
-        if l == 1:
-            counts.append(p)
-            continue
-        rest = np.indices((p,) * (l - 1)).reshape(l - 1, -1)
-        for x0 in range(p):
-            ok = np.ones(rest.shape[1], dtype=bool)
-            for i, j, g in edges:
-                xi = x0 if i == 0 else rest[i - 1]
-                xj = x0 if j == 0 else rest[j - 1]
-                ok &= (xi - xj - g) % p != 0
-            total += int(ok.sum())
-        counts.append(total)
+    counts = [_complement_count(l, edges, p) for p in primes]
 
     xs = primes[: l + 1]
     ys = counts[: l + 1]

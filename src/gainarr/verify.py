@@ -829,8 +829,11 @@ def coincidence_suite(gain_bound=2, max_per_pair=3, seed=DEFAULT_SEED):
 
 
 SUITES = {
+    "chi-identity": chi_identity_suite,
     "coincidence": coincidence_suite,
+    "cross-oracle": cross_oracle_suite,
     "families": families_suite,
+    "kind-agreement": kind_agreement_suite,
     "lowdim": lowdim_suite,
     "signed": signed_suite,
 }

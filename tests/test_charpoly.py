@@ -1,9 +1,10 @@
 """Characteristic polynomials: three computations, one answer."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gainarr.arrangement import (
@@ -14,6 +15,7 @@ from gainarr.arrangement import (
     make_hyperplane,
 )
 from gainarr.charpoly import (
+    _complement_count,
     _poset_from_rows,
     chi_finite_field_oracle,
     chi_gaingraph_recursive,
@@ -22,6 +24,7 @@ from gainarr.charpoly import (
     intersection_poset,
     region_count,
 )
+from gainarr.corpus import iter_z_graphs
 from gainarr.errors import BoundExceeded
 from gainarr.gaingraph import GROUP_Z, GainGraph, group_f
 from gainarr.intpoly import IntPolynomial, T
@@ -95,6 +98,56 @@ def test_finite_field_oracle_agrees():
         assert chi_finite_field_oracle(g) == chi_gaingraph_recursive(
             g, "affinographic"
         )
+
+
+# ---------------------------------------------------------------------------
+# the reduced point count against a count over all of F_p^l
+
+
+def full_count(l, edges, p):
+    return sum(
+        all((x[i] - x[j] - g) % p for i, j, g in edges)
+        for x in itertools.product(range(p), repeat=l)
+    )
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_reduced_count_matches_full_count(p):
+    # every Z graph on <= 3 vertices with <= 4 edges and |gain| <= 2; at
+    # p = 2 distinct gains collide, so forbidden values repeat
+    n = 0
+    for l in range(4):
+        for g in iter_z_graphs(l, 4, 2):
+            edges = [(i - 1, j - 1, gain) for i, j, gain in g.edges]
+            assert _complement_count(l, edges, p) == full_count(l, edges, p), g.key
+            n += 1
+    assert n == 1974
+
+
+@st.composite
+def small_z_graphs(draw):
+    l = draw(st.integers(0, 5))
+    bound = 1 if l == 5 else 2
+    labels = sorted(draw(st.sets(st.integers(1, 9), min_size=l, max_size=l)))
+    ground = [
+        (i, j, g)
+        for i, j in itertools.combinations(labels, 2)
+        for g in range(-bound, bound + 1)
+    ]
+    edges = draw(st.lists(st.sampled_from(ground), max_size=8)) if ground else []
+    return GainGraph(GROUP_Z, labels, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_z_graphs())
+@example(GainGraph(GROUP_Z, (), []))
+@example(GainGraph(GROUP_Z, (1, 2, 3, 4, 5), []))
+# disconnected, vertex 5 isolated, gain 0 and parallel classes 0 and 1
+@example(GainGraph(GROUP_Z, (1, 2, 3, 4, 5), [(1, 2, 0), (1, 2, 1), (3, 4, -1)]))
+# the vertex fixed to 0 by translation is isolated
+@example(GainGraph(GROUP_Z, (2, 5, 7), [(5, 7, 0), (5, 7, -2), (5, 7, 2)]))
+def test_finite_field_oracle_matches_recursion(g):
+    assert chi_finite_field_oracle(g) == chi_gaingraph_recursive(g, "affinographic")
 
 
 def test_poset_moebius_structure():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gainarr import verify
 from gainarr.cli import main
 
 
@@ -278,6 +279,46 @@ def test_verify_families_suite(capsys):
     assert "digraphs-exhaustive" in names
     main(["verify", "--suite", "families"])
     assert capsys.readouterr().out == out
+
+
+def test_suites_lists_every_suite_under_its_report_name(monkeypatch):
+    class Named(Exception):
+        pass
+
+    def stop(name, seed, bounds):
+        raise Named(name)
+
+    public = {
+        fn
+        for name, fn in vars(verify).items()
+        if name.endswith("_suite")
+        and not name.startswith("_")
+        and name != "run_suite"
+        and fn.__module__ == verify.__name__
+    }
+    assert len(public) == len(verify.SUITES) == 7
+    assert set(verify.SUITES.values()) == public
+    # every suite names its report first, so stop it there
+    monkeypatch.setattr(verify, "_Suite", stop)
+    for key, fn in verify.SUITES.items():
+        with pytest.raises(Named) as exc:
+            fn(seed=1)
+        assert exc.value.args == (key,)
+
+
+def test_verify_cross_oracle_suite(monkeypatch, capsys):
+    small = dict(exhaustive_max_vertices=2, exhaustive_max_edges=1, gain_bound=1,
+                 z4_samples=1, f2_4_samples=0)
+    monkeypatch.setitem(
+        verify.SUITES,
+        "cross-oracle",
+        lambda seed: verify.cross_oracle_suite(seed=seed, **small),
+    )
+    code, doc = run_json(capsys, ["verify", "--suite", "cross-oracle"])
+    assert code == 0
+    assert doc["passed"] is True
+    assert doc["suite"] == "cross-oracle"
+    assert doc["bounds"]["z4_samples"] == 1
 
 
 def test_version_flag(capsys):

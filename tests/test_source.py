@@ -33,6 +33,25 @@ def test_no_assert_statements():
     assert SOURCES and not found, found
 
 
+def _imported_packages(node):
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[0] for a in node.names}
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return {node.module.split(".")[0]}
+    return set()
+
+
+def test_no_numpy_import():
+    # the core has no dependency; the point count is pure Python
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if "numpy" in _imported_packages(node)
+    ]
+    assert SOURCES and not found, found
+
+
 def _modules_after(statement):
     src = str(pathlib.Path(gainarr.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -48,9 +67,9 @@ def _modules_after(statement):
 
 
 def test_cli_import_loads_no_costly_module():
-    # only the finite field oracle needs numpy, and it imports it lazily;
-    # the records are named tuples, so nothing imports dataclasses and the
-    # inspect it pulls in.  Both keep the start-up of every CLI call cheap.
+    # the package needs no numpy, and the records are named tuples, so
+    # nothing imports dataclasses and the inspect it pulls in; a start-up
+    # without them keeps every CLI call cheap.
     # The bare interpreter is the baseline because site may load modules
     # (typing, say) before any gainarr code runs.
     added = _modules_after("import gainarr.cli") - _modules_after("pass")
