@@ -243,28 +243,3 @@ def essentialize_with_map(arr):
         hps.append(new)
     return make_arrangement(D, len(pivots), hps), mapping
 
-
-def defining_polynomial_str(arr):
-    """Human-readable product of the defining linear forms."""
-    D = arr.domain
-    parts = []
-    for h in arr.hyperplanes:
-        terms = []
-        for k, c in enumerate(h.coeffs):
-            if D.is_zero(c):
-                continue
-            name = f"x{k + 1}"
-            if D.eq(c, D.one):
-                terms.append(f"+ {name}" if terms else name)
-            else:
-                s = D.to_str(c)
-                if s.startswith("-") and terms:
-                    terms.append(f"- {s[1:]}*{name}")
-                else:
-                    terms.append(f"+ {s}*{name}" if terms else f"{s}*{name}")
-        lhs = " ".join(terms)
-        if D.is_zero(h.const):
-            parts.append(f"({lhs})")
-        else:
-            parts.append(f"({lhs} - {D.to_str(h.const)})")
-    return " ".join(parts)

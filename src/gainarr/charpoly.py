@@ -9,7 +9,7 @@
 2. chi_gaingraph_recursive: deletion-contraction on the gain graph with
    base case t^l for the affinographic arrangement and (t-1)^l for the
    bias arrangement, pivoting on the lexicographically smallest edge,
-   memoized on the graph's canonical key.
+   memoized on the graph, which is its own key.
 3. chi_finite_field_oracle: count complement points of the affinographic
    arrangement of an integer-gain graph over enough large primes and
    interpolate; extra primes cross-check the interpolation.  The count is
@@ -22,7 +22,8 @@ The three must agree; tests and the verify suites enforce that.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from .errors import ArrangementError, BoundExceeded, GraphError, VerificationError
 from .gaingraph import GROUP_Z, GainGraph, contract_edge
@@ -158,11 +159,12 @@ def chi_poset(arr, max_hyperplanes=DEFAULT_MAX_HYPERPLANES):
 # ---------------------------------------------------------------------------
 # deletion-contraction on gain graphs
 
-_CHI_CACHE = {}
+# a memoized call takes two interpreter frames; see _chi_rec
+_CHAIN_STRIDE = 32
 
 
 def clear_caches():
-    _CHI_CACHE.clear()
+    _chi_rec.cache_clear()
 
 
 def chi_gaingraph_recursive(graph, kind):
@@ -177,26 +179,27 @@ def chi_gaingraph_recursive(graph, kind):
     return _chi_rec(graph, kind)
 
 
+@lru_cache(maxsize=None)
 def _chi_rec(graph, kind):
-    key = (kind, graph.key)
-    hit = _CHI_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if not graph.edges:
-        n = graph.n_vertices
+    """Memoized deletion-contraction on the first edge.
+
+    The deletions of a graph are its edge suffixes.  Before recursing, the
+    suffixes whose length is a multiple of _CHAIN_STRIDE are evaluated,
+    shortest first, so no deletion chain runs more than _CHAIN_STRIDE calls
+    deep before it meets a memoized suffix.  Each contraction drops a
+    vertex, so the depth is at most about (_CHAIN_STRIDE + 1) per vertex,
+    however many parallel classes the graph has.  Those suffixes are ones
+    the recursion evaluates anyway, so the memo ends up the same.
+    """
+    group, vs, es = graph
+    if not es:
         if kind == "affinographic":
-            val = IntPolynomial.t_power(n)
-        else:
-            val = IntPolynomial.from_roots([1] * n)
-    else:
-        e = graph.edges[0]
-        deleted = GainGraph(
-            graph.group, graph.vertices, graph.edges[1:], _trusted=True
-        )
-        contracted = contract_edge(graph, e)
-        val = _chi_rec(deleted, kind) - _chi_rec(contracted, kind)
-    _CHI_CACHE[key] = val
-    return val
+            return IntPolynomial.t_power(len(vs))
+        return IntPolynomial.from_roots([1] * len(vs))
+    for m in range(_CHAIN_STRIDE, len(es), _CHAIN_STRIDE):
+        _chi_rec(GainGraph._make((group, vs, es[-m:])), kind)
+    deleted = GainGraph._make((group, vs, es[1:]))
+    return _chi_rec(deleted, kind) - _chi_rec(contract_edge(graph, es[0]), kind)
 
 
 def chi_cone(graph):
@@ -250,6 +253,41 @@ def _complement_count(l, edges, p):
     return p * count(1)
 
 
+def _interpolate(xs, ys):
+    """Integer coefficients, ascending, of the polynomial of degree below
+    len(xs) through the points (xs[i], ys[i]); xs must be distinct.
+
+    Lagrange's form over one common denominator: the basis numerator
+    N_i = prod_(j != i) (t - x_j) has integer coefficients and the basis
+    polynomial is N_i / d_i with d_i = prod_(j != i) (x_i - x_j).  With
+    L = lcm |d_i| the sum is (sum_i y_i (L / d_i) N_i) / L, whose numerator
+    is computed over Z; a coefficient L does not divide means the points
+    lie on no polynomial in Z[t], and VerificationError is raised.
+    """
+    nums, dens = [], []
+    for i, xi in enumerate(xs):
+        num = [1]
+        den = 1
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            num = [0] + num
+            for k in range(len(num) - 1):
+                num[k] -= num[k + 1] * xj
+            den *= xi - xj
+        nums.append(num)
+        dens.append(den)
+    L = lcm(*dens)
+    total = [0] * len(xs)
+    for y, num, den in zip(ys, nums, dens):
+        scale = y * (L // den)
+        for k, c in enumerate(num):
+            total[k] += scale * c
+    if any(c % L for c in total):
+        raise VerificationError("finite field counts do not interpolate in Z[t]")
+    return tuple(c // L for c in total)
+
+
 def chi_finite_field_oracle(graph, n_control=2, max_vertices=5):
     """Point-count chi of the affinographic arrangement of a Z-gain graph.
 
@@ -283,24 +321,7 @@ def chi_finite_field_oracle(graph, n_control=2, max_vertices=5):
     edges = [(idx[i], idx[j], g) for i, j, g in graph.edges]
     counts = [_complement_count(l, edges, p) for p in primes]
 
-    xs = primes[: l + 1]
-    ys = counts[: l + 1]
-    coeffs = [Fraction(0)] * (l + 1)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        num = [Fraction(yi)]
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = [Fraction(0)] + num
-            for k in range(len(num) - 1):
-                num[k] -= num[k + 1] * xj
-            den *= xi - xj
-        for k, c in enumerate(num):
-            coeffs[k] += c / den
-    if any(c.denominator != 1 for c in coeffs):
-        raise VerificationError("finite field counts do not interpolate in Z[t]")
-    poly = IntPolynomial(tuple(int(c) for c in coeffs))
+    poly = IntPolynomial(_interpolate(primes[: l + 1], counts[: l + 1]))
     for p, n in zip(primes[l + 1 :], counts[l + 1 :]):
         if poly(p) != n:
             raise VerificationError(

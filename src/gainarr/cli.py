@@ -130,6 +130,7 @@ def _signed_payload(g):
         "dfBias": df_bias,
         "dfCone": df_cone,
         "inducedUnbalancedCycle": has_induced_unbalanced_cycle(g),
+        "mode": "signed",
         "switchingObstruction": has_switching_obstruction(g),
         "verdict": crit,
     }
@@ -152,54 +153,51 @@ def _free3_payload(g):
         "exponentShift": shift,
         "freeA": res.free_cone,
         "freeB": res.free_bias,
+        "mode": "free3",
     }
 
 
 def cmd_free(cfg):
     g = _load_graph(cfg)
-    mode = cfg.mode
-    if mode in ("if-edges", "df-edges"):
-        decide = if_along_edges if mode == "if-edges" else df_along_edges
-        cert = decide(g, cfg.kind, node_cap=cfg.node_cap)
-        replay = None
-        if cert.verdict:
-            try:
-                replay = replay_certificate(cert, g)
-            except VerificationError:
-                replay = False
-        payload = {
-            "certificate": cert.to_json(),
-            "kind": cfg.kind,
-            "mode": mode,
-            "replay": replay,
-        }
-        _print_doc(cfg, _envelope(cfg, payload))
-        return 0 if replay is not False else 1
-    if mode == "signed":
-        if g.group == GROUP_Z or g.group[1] != 2:
-            print("gainarr: mode signed needs gains in the two-element group",
-                  file=sys.stderr)
-            return 2
-        payload = _signed_payload(g)
-    else:
-        if g.group != GROUP_Z or len(g.vertices) != 3:
-            print("gainarr: mode free3 needs an integer gain graph on 3 vertices",
-                  file=sys.stderr)
-            return 2
-        payload = _free3_payload(g)
-    payload["mode"] = mode
+    decide = if_along_edges if cfg.mode == "if-edges" else df_along_edges
+    cert = decide(g, cfg.kind, node_cap=cfg.node_cap)
+    replay = None
+    if cert.verdict:
+        try:
+            replay = replay_certificate(cert, g)
+        except VerificationError:
+            replay = False
+    payload = {
+        "certificate": cert.to_json(),
+        "kind": cfg.kind,
+        "mode": cfg.mode,
+        "replay": replay,
+    }
+    _print_doc(cfg, _envelope(cfg, payload))
+    return 0 if replay is not False else 1
+
+
+def _print_verdict(cfg, payload):
     _print_doc(cfg, _envelope(cfg, payload))
     return 0 if payload["agree"] else 1
 
 
 def cmd_signed_check(cfg):
-    cfg.mode = "signed"
-    return cmd_free(cfg)
+    g = _load_graph(cfg)
+    if g.group == GROUP_Z or g.group[1] != 2:
+        print("gainarr: signed-check needs gains in the two-element group",
+              file=sys.stderr)
+        return 2
+    return _print_verdict(cfg, _signed_payload(g))
 
 
 def cmd_free3(cfg):
-    cfg.mode = "free3"
-    return cmd_free(cfg)
+    g = _load_graph(cfg)
+    if g.group != GROUP_Z or len(g.vertices) != 3:
+        print("gainarr: free3 needs an integer gain graph on 3 vertices",
+              file=sys.stderr)
+        return 2
+    return _print_verdict(cfg, _free3_payload(g))
 
 
 def cmd_family(cfg):
@@ -245,9 +243,7 @@ def build_parser():
 
     sp = sub.add_parser("free", help="freeness deciders with replayable certificates")
     common(sp)
-    sp.add_argument(
-        "--mode", choices=("if-edges", "df-edges", "signed", "free3"), required=True
-    )
+    sp.add_argument("--mode", choices=("if-edges", "df-edges"), required=True)
     sp.add_argument("--kind", choices=("cone", "bias"), default="cone")
     sp.set_defaults(handler=cmd_free)
 

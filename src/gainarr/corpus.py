@@ -34,7 +34,7 @@ def iter_z_graphs(l, max_edges, gain_bound):
     ground = z_ground_set(l, gain_bound)
     for k in range(min(max_edges, len(ground)) + 1):
         for combo in itertools.combinations(ground, k):
-            yield GainGraph(GROUP_Z, verts, combo, _trusted=True)
+            yield GainGraph._make((GROUP_Z, verts, combo))
 
 
 def iter_f2_graphs(l):
@@ -45,14 +45,14 @@ def iter_f2_graphs(l):
         edges = tuple(
             (i, j, g) for (i, j), st in zip(pairs, combo) for g in st
         )
-        yield GainGraph(F2, verts, edges, _trusted=True)
+        yield GainGraph._make((F2, verts, edges))
 
 
 def random_z_graph(rng, l, max_edges, gain_bound):
     ground = z_ground_set(l, gain_bound)
     k = rng.randint(0, min(max_edges, len(ground)))
     combo = tuple(sorted(rng.sample(ground, k)))
-    return GainGraph(GROUP_Z, tuple(range(1, l + 1)), combo, _trusted=True)
+    return GainGraph._make((GROUP_Z, tuple(range(1, l + 1)), combo))
 
 
 def random_f2_graph(rng, l):
@@ -62,7 +62,7 @@ def random_f2_graph(rng, l):
         for i, j in pairs
         for g in PAIR_STATES_F2[rng.randrange(4)]
     )
-    return GainGraph(F2, tuple(range(1, l + 1)), edges, _trusted=True)
+    return GainGraph._make((F2, tuple(range(1, l + 1)), edges))
 
 
 def iter_digraph_arc_sets(l):
@@ -82,7 +82,7 @@ def complete_positive_graphs(l):
         edges = tuple(
             sorted([(i, j, 0) for i, j in pairs] + [(i, j, 1) for i, j in neg])
         )
-        yield GainGraph(F2, verts, edges, _trusted=True), neg
+        yield GainGraph._make((F2, verts, edges)), neg
 
 
 def three_vertex_instances(gain_bound=2, max_per_pair=3):
@@ -100,4 +100,4 @@ def three_vertex_instances(gain_bound=2, max_per_pair=3):
                 + [(2, 3, g) for g in s23]
             )
         )
-        yield GainGraph(GROUP_Z, (1, 2, 3), edges, _trusted=True)
+        yield GainGraph._make((GROUP_Z, (1, 2, 3), edges))

@@ -26,12 +26,11 @@ MAX_FAMILY_EDGE_CLASSES = 100_000
 
 # complete 3-vertex graph carrying both gains over the two-element group;
 # a free arrangement fixture (only freeness is asserted of it)
-EDELMAN_REINER_3 = GainGraph(
+EDELMAN_REINER_3 = GainGraph._make((
     group_f(2),
     (1, 2, 3),
     tuple((i, j, g) for i in (1, 2) for j in range(i + 1, 4) for g in (0, 1)),
-    _trusted=True,
-)
+))
 
 
 def make_family(kind, l, m=0):

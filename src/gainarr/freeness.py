@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, namedtuple
+from functools import lru_cache
 
 from .charpoly import chi_of_kind
 from .errors import GraphError, SearchBudgetExceeded, VerificationError
@@ -63,23 +64,6 @@ def normalize_kind(kind):
     return k
 
 
-def exponents_from_chi(chi, dim=None):
-    """Exponent multiset (ascending) read off the chi roots.
-
-    Requires a monic chi; if dim is given the degree must match.  Returns
-    None when chi does not split into nonnegative integer roots, which for
-    a central arrangement certifies that it is not free.
-    """
-    if not chi.is_monic:
-        raise GraphError(f"characteristic polynomial {chi} is not monic")
-    if dim is not None and chi.degree != dim:
-        raise GraphError(
-            f"chi degree {chi.degree} does not match ambient dimension {dim}"
-        )
-    roots = chi.integer_roots()
-    return None if roots is None else tuple(roots)
-
-
 def _included(sub, sup):
     counts = Counter(sup)
     for r in sub:
@@ -104,26 +88,22 @@ class _Budget:
             )
 
 
-_ROOT_CACHE = {}
 _ANALYSIS = {}
 
 
 def clear_caches():
-    _ROOT_CACHE.clear()
+    _roots_of.cache_clear()
     _ANALYSIS.clear()
 
 
+@lru_cache(maxsize=None)
 def _roots_of(poly):
-    hit = _ROOT_CACHE.get(poly.coeffs, False)
-    if hit is False:
-        hit = poly.integer_roots()
-        _ROOT_CACHE[poly.coeffs] = hit
-    return hit
+    return poly.integer_roots()
 
 
 def _analyze(graph, budget):
     """Shared decider node: all four verdicts for one graph."""
-    rec = _ANALYSIS.get(graph.key)
+    rec = _ANALYSIS.get(graph)
     if rec is not None:
         return rec
     budget.spend()
@@ -153,7 +133,7 @@ def _analyze(graph, budget):
             continue
         rec["if"][kind] = _search_if(graph, kind, chi[kind], budget)
         rec["df"][kind] = _search_df(graph, kind, chi[kind], budget)
-    _ANALYSIS[graph.key] = rec
+    _ANALYSIS[graph] = rec
     return rec
 
 
@@ -174,11 +154,8 @@ def _forbidden_substructure(graph, kind):
 
 
 def _branches(graph, e):
-    deleted = GainGraph(
-        graph.group,
-        graph.vertices,
-        tuple(x for x in graph.edges if x != e),
-        _trusted=True,
+    deleted = GainGraph._make(
+        (graph.group, graph.vertices, tuple(x for x in graph.edges if x != e))
     )
     return deleted, contract_edge(graph, e)
 
@@ -305,9 +282,9 @@ def _collect_witness(graph, decider, kind, budget):
     stack = [graph]
     while stack:
         g = stack.pop()
-        if g.key in seen:
+        if g in seen:
             continue
-        seen.add(g.key)
+        seen.add(g)
         rec = _analyze(g, budget)
         chi = rec["chi"][kind]
         verdict, pivot, _ = rec[decider][kind]
@@ -336,9 +313,9 @@ def _collect_failure_tree(graph, decider, kind, budget, node_cap):
     stack = [graph]
     while stack:
         g = stack.pop()
-        if g.key in seen:
+        if g in seen:
             continue
-        seen.add(g.key)
+        seen.add(g)
         if len(seen) > node_cap:
             raise SearchBudgetExceeded(
                 f"failure certificate exceeds the node cap of {node_cap}"
@@ -398,7 +375,7 @@ def _certify(graph, decider, kind, node_cap):
     return FreenessCertificate(
         decider="inductive" if decider == "if" else "divisional",
         kind=kind,
-        graph_key=graph.key,
+        graph_key=tuple(graph),
         verdict=verdict,
         chi=chi,
         exponents=exponents,
@@ -445,26 +422,25 @@ def replay_certificate(cert, graph):
     if not cert.verdict:
         raise VerificationError("only yes-certificates replay")
     kind = cert.kind
-    by_key = {}
-    for s in cert.steps:
-        g = GainGraph(graph.group, s["vertices"], s["edges"])
-        by_key[g.key] = (g, s)
+    steps = {
+        GainGraph(graph.group, s["vertices"], s["edges"]): s for s in cert.steps
+    }
     root = GainGraph(graph.group, graph.vertices, graph.edges)
-    if root.key != graph.key or root.key not in by_key:
+    if root != graph or root not in steps:
         raise VerificationError("certificate does not start at the graph")
-    for g, s in by_key.values():
+    for g, s in steps.items():
         chi = chi_of_kind(g, kind)
         if str(chi) != s["chi"]:
-            raise VerificationError(f"chi mismatch at {g.key}")
+            raise VerificationError(f"chi mismatch at {tuple(g)}")
         if tuple(chi.integer_roots() or ()) != tuple(s["exponents"]):
-            raise VerificationError(f"exponent mismatch at {g.key}")
+            raise VerificationError(f"exponent mismatch at {tuple(g)}")
         pivot = s["pivot"]
         if pivot is None:
             if g.edges:
                 raise VerificationError("non-edgeless step without a pivot")
             continue
         if tuple(pivot) not in g.edges:
-            raise VerificationError(f"pivot {pivot} not an edge of {g.key}")
+            raise VerificationError(f"pivot {pivot} not an edge of {tuple(g)}")
         deleted, contracted = _branches(g, tuple(pivot))
         chi_con = chi_of_kind(contracted, kind)
         if cert.decider == "inductive":
@@ -474,11 +450,11 @@ def replay_certificate(cert, graph):
                 raise VerificationError("branch chi does not split")
             if not _included(roots_con, roots_del):
                 raise VerificationError("exponent inclusion fails on replay")
-            if deleted.key not in by_key or contracted.key not in by_key:
+            if deleted not in steps or contracted not in steps:
                 raise VerificationError("branch missing from certificate")
         else:
             if not chi_con.divides(chi):
                 raise VerificationError("divisibility fails on replay")
-            if contracted.key not in by_key:
+            if contracted not in steps:
                 raise VerificationError("branch missing from certificate")
     return True

@@ -42,45 +42,33 @@ def normalize_edge(group, i, j, g):
     return (i, j, g)
 
 
-class GainGraph:
-    """Immutable simple gain graph.
+class GainGraph(namedtuple("GainGraph", "group vertices edges")):
+    """Immutable simple gain graph; the tuple itself is its memo key.
 
     vertices: sorted tuple of int labels.
     edges: sorted tuple of canonical (i, j, g) triples.
+
+    The constructor checks the group, canonicalizes every edge and sorts;
+    _make and _replace take fields that are already canonical and skip
+    all of that.
     """
 
-    __slots__ = ("group", "vertices", "edges", "key")
+    __slots__ = ()
 
-    def __init__(self, group, vertices, edges, _trusted=False):
+    def __new__(cls, group, vertices, edges):
         if group != GROUP_Z and (
             not isinstance(group, tuple) or len(group) != 2 or group[0] != "F"
         ):
             raise GraphError(f"unknown gain group {group!r}")
-        if _trusted:
-            vs, es = vertices, edges
-        else:
-            vs = tuple(sorted(set(vertices)))
-            vset = set(vs)
-            seen = set()
-            for i, j, g in edges:
-                e = normalize_edge(group, i, j, g)
-                if e[0] not in vset or e[1] not in vset:
-                    raise GraphError(f"edge {e} uses a vertex outside {vs}")
-                seen.add(e)
-            es = tuple(sorted(seen))
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", es)
-        object.__setattr__(self, "key", (group, vs, es))
-
-    def __setattr__(self, *a):
-        raise AttributeError("GainGraph is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, GainGraph) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
+        vs = tuple(sorted(set(vertices)))
+        vset = set(vs)
+        seen = set()
+        for i, j, g in edges:
+            e = normalize_edge(group, i, j, g)
+            if e[0] not in vset or e[1] not in vset:
+                raise GraphError(f"edge {e} uses a vertex outside {vs}")
+            seen.add(e)
+        return tuple.__new__(cls, (group, vs, tuple(sorted(seen))))
 
     def __repr__(self):
         return f"GainGraph({self.group!r}, {self.vertices!r}, {self.edges!r})"
@@ -90,19 +78,12 @@ class GainGraph:
         return len(self.vertices)
 
 
-def canonical_key(graph):
-    return graph.key
-
-
 def delete_edge(graph, edge):
     e = normalize_edge(graph.group, *edge)
     if e not in graph.edges:
         raise GraphError(f"edge {e} not present")
-    return GainGraph(
-        graph.group,
-        graph.vertices,
-        tuple(x for x in graph.edges if x != e),
-        _trusted=True,
+    return GainGraph._make(
+        (graph.group, graph.vertices, tuple(x for x in graph.edges if x != e))
     )
 
 
@@ -134,11 +115,8 @@ def contract_edge(graph, edge):
         if k == j:
             continue  # becomes a loop at j
         new_edges.add(normalize_edge(group, k, j, gain_add(group, toward, g)))
-    return GainGraph(
-        group,
-        tuple(v for v in graph.vertices if v != i),
-        tuple(sorted(new_edges)),
-        _trusted=True,
+    return GainGraph._make(
+        (group, tuple(v for v in graph.vertices if v != i), tuple(sorted(new_edges)))
     )
 
 
@@ -153,7 +131,7 @@ def switch_vertex(graph, v):
         if i == v or j == v:
             g ^= 1
         out.add((i, j, g))
-    return GainGraph(graph.group, graph.vertices, tuple(sorted(out)), _trusted=True)
+    return GainGraph._make((graph.group, graph.vertices, tuple(sorted(out))))
 
 
 def induced_subgraph(graph, vertices):
@@ -162,7 +140,7 @@ def induced_subgraph(graph, vertices):
         raise GraphError(f"{vs} is not a vertex subset")
     vset = set(vs)
     es = tuple(e for e in graph.edges if e[0] in vset and e[1] in vset)
-    return GainGraph(graph.group, vs, es, _trusted=True)
+    return GainGraph._make((graph.group, vs, es))
 
 
 # ---------------------------------------------------------------------------

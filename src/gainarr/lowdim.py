@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 from .arrangement import (
     build_affinographic,
@@ -33,15 +34,13 @@ from .charpoly import DEFAULT_MAX_HYPERPLANES, chi_gaingraph_recursive, chi_pose
 from .errors import ArrangementError, BoundExceeded, GraphError, VerificationError
 from .gaingraph import GROUP_Z
 from .intpoly import IntPolynomial, T_MINUS_1
-from .scalars import QQ_Q, nullspace, rank_of_rows
+from .scalars import QQ_Q, det, nullspace, rank_of_rows
 
 DEFAULT_MULT_CAP = 30
 
-_EXP2_CACHE = {}
-
 
 def clear_caches():
-    _EXP2_CACHE.clear()
+    _exp2.cache_clear()
 
 
 class Multiarrangement2D(namedtuple("Multiarrangement2D", "domain lines mults")):
@@ -126,23 +125,21 @@ def exp2_solver(multi, verify=False, mult_cap=DEFAULT_MULT_CAP):
         raise BoundExceeded(
             f"exp2 solver capped at |m| = {mult_cap}, got {total}"
         )
-    key = (multi, verify)
-    hit = _EXP2_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _exp2(multi, verify)
+
+
+@lru_cache(maxsize=None)
+def _exp2(multi, verify):
+    total = multi.total()
     if len(multi.lines) == 1:
         # d/dy (for line x) has degree 0; exponents (0, m)
-        out = _verify_pair(multi, 0, total) if verify else (0, total)
-        _EXP2_CACHE[key] = out
-        return out
+        return _verify_pair(multi, 0, total) if verify else (0, total)
     D = multi.domain
     for d in range(total // 2 + 1):
         rows = _condition_rows(D, multi.lines, multi.mults, d)
         width = 2 * (d + 1)
         if rank_of_rows(D, rows) < width:
-            out = _verify_pair(multi, d, total - d) if verify else (d, total - d)
-            _EXP2_CACHE[key] = out
-            return out
+            return _verify_pair(multi, d, total - d) if verify else (d, total - d)
     raise VerificationError(
         f"no derivation found up to degree |m|/2 for {multi}"
     )
@@ -317,8 +314,6 @@ def schur_bialternant_check(partition, gains):
     homogeneous sums.  gains must be distinct integers.  Returns the Q(q)
     payload of s_lambda evaluated at the points.
     """
-    from .scalars import det
-
     D = QQ_Q
     lam = tuple(partition)
     n = len(gains)
@@ -476,7 +471,7 @@ def coincidence_3dim(graph):
 
     if free_a != free_b:
         raise VerificationError(
-            f"cone and bias freeness disagree on {graph.key}:"
+            f"cone and bias freeness disagree on {tuple(graph)}:"
             f" cone={free_a} bias={free_b}"
         )
     return CoincidenceResult(free_a, free_b, detail_a, detail_b, chi_a, chi_b)

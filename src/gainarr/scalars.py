@@ -253,9 +253,6 @@ class Rationals:
     def sort_key(self, a):
         return a
 
-    def to_str(self, a):
-        return str(a)
-
     def row_primitive(self, vec):
         return vec
 
@@ -329,9 +326,6 @@ class PrimeField:
 
     def sort_key(self, a):
         return a
-
-    def to_str(self, a):
-        return str(a)
 
     def row_primitive(self, vec):
         return vec
@@ -427,12 +421,6 @@ class RationalFunctions:
 
     def sort_key(self, a):
         return a
-
-    def to_str(self, a):
-        num, den = a
-        if den == (1,):
-            return _poly_str(num, "q")
-        return f"({_poly_str(num, 'q')})/({_poly_str(den, 'q')})"
 
     def row_primitive(self, vec):
         """The row rescaled by a nonzero scalar to keep entries small.
@@ -617,20 +605,6 @@ class CyclotomicField:
 
     def sort_key(self, a):
         return a
-
-    def to_str(self, a):
-        n = self.p - 1
-        parts = []
-        for e in range(n):
-            c = a[e]
-            if not c:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            else:
-                v = "z" if e == 1 else f"z^{e}"
-                parts.append(v if c == 1 else f"{c}*{v}")
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
     def row_primitive(self, vec):
         return vec

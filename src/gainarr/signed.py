@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .errors import GraphError
+from .errors import BoundExceeded, GraphError, VerificationError
 from .gaingraph import (
     GainGraph,
     _gain_along,
@@ -126,8 +126,6 @@ def has_induced_unbalanced_cycle(graph, max_vertices=10):
     g = _as_f2(graph)
     n = g.n_vertices
     if n > max_vertices:
-        from .errors import BoundExceeded
-
         raise BoundExceeded(f"induced cycle scan capped at {max_vertices} vertices")
     for size in range(3, n + 1):
         for subset in itertools.combinations(g.vertices, size):
@@ -292,8 +290,6 @@ def is_threshold(g: SimpleGraph):
     by_scan = _is_threshold_by_subgraphs(g)
     by_elim = _is_threshold_by_elimination(g)
     if by_scan != by_elim:
-        from .errors import VerificationError
-
         raise VerificationError(
             f"threshold checks disagree on {g}: scan={by_scan} elim={by_elim}"
         )

@@ -170,10 +170,10 @@ def _scan_identity_z(l, max_edges, gain_bound, stride, id_fails, cross_fails):
     def rec(start, edges, chi_a, chi_b):
         counts[0] += 1
         if chi_a != chi_b.shift(1) or chi_a.coeffs[0] != 0:
-            g = GainGraph(GROUP_Z, verts, edges, _trusted=True)
+            g = GainGraph._make((GROUP_Z, verts, edges))
             id_fails.append(_identity_failure(g, "shift-identity"))
         if stride and counts[0] % stride == 0:
-            g = GainGraph(GROUP_Z, verts, edges, _trusted=True)
+            g = GainGraph._make((GROUP_Z, verts, edges))
             ra = chi_gaingraph_recursive(g, "affinographic")
             rb = chi_gaingraph_recursive(g, "bias")
             counts[1] += 1
@@ -191,7 +191,7 @@ def _scan_identity_z(l, max_edges, gain_bound, stride, id_fails, cross_fails):
         for k in range(start, len(ground)):
             e = ground[k]
             child_edges = edges + (e,)
-            child = GainGraph(GROUP_Z, verts, child_edges, _trusted=True)
+            child = GainGraph._make((GROUP_Z, verts, child_edges))
             contracted = contract_edge(child, e)
             rec(
                 k + 1,

@@ -8,7 +8,6 @@ from gainarr.arrangement import (
     build_affinographic,
     build_bias,
     build_cone,
-    defining_polynomial_str,
     essentialize,
     essentialize_with_map,
     localization,
@@ -153,9 +152,3 @@ def test_localization_rejects_empty_flat():
     arr = build_affinographic(g)
     with pytest.raises(ArrangementError):
         localization(arr, arr.hyperplanes)
-
-
-def test_defining_polynomial_str():
-    g = GainGraph(GROUP_Z, (1, 2), [(1, 2, 0)])
-    s = defining_polynomial_str(build_affinographic(g))
-    assert "x1" in s and "x2" in s

@@ -16,16 +16,18 @@ from gainarr.arrangement import (
 )
 from gainarr.charpoly import (
     _complement_count,
+    _interpolate,
     _poset_from_rows,
     chi_finite_field_oracle,
     chi_gaingraph_recursive,
     chi_of_kind,
     chi_poset,
+    clear_caches,
     intersection_poset,
     region_count,
 )
 from gainarr.corpus import iter_z_graphs
-from gainarr.errors import BoundExceeded
+from gainarr.errors import BoundExceeded, VerificationError
 from gainarr.gaingraph import GROUP_Z, GainGraph, group_f
 from gainarr.intpoly import IntPolynomial, T
 from gainarr.scalars import GF, QQ, QQ_Q, ZZ, cyclotomic, integer_image
@@ -58,6 +60,16 @@ def test_unbalanced_triangle():
     g = GainGraph(GROUP_Z, (1, 2, 3), [(1, 2, 0), (2, 3, 0), (1, 3, 1)])
     chi = chi_gaingraph_recursive(g, "affinographic")
     assert chi == T * IntPolynomial((3, -3, 1))
+
+
+def test_long_deletion_chain_stays_shallow():
+    # 601 parallel classes: a deletion chain longer than the interpreter's
+    # recursion limit allows at two frames per memoized call
+    clear_caches()
+    k = 601
+    g = GainGraph(GROUP_Z, (1, 2), [(1, 2, c) for c in range(k)])
+    assert chi_gaingraph_recursive(g, "affinographic") == IntPolynomial((0, -k, 1))
+    assert chi_gaingraph_recursive(g, "bias") == IntPolynomial.from_roots([1, k + 1])
 
 
 def test_cone_relation():
@@ -119,7 +131,7 @@ def test_reduced_count_matches_full_count(p):
     for l in range(4):
         for g in iter_z_graphs(l, 4, 2):
             edges = [(i - 1, j - 1, gain) for i, j, gain in g.edges]
-            assert _complement_count(l, edges, p) == full_count(l, edges, p), g.key
+            assert _complement_count(l, edges, p) == full_count(l, edges, p), g
             n += 1
     assert n == 1974
 
@@ -148,6 +160,69 @@ def small_z_graphs(draw):
 @example(GainGraph(GROUP_Z, (2, 5, 7), [(5, 7, 0), (5, 7, -2), (5, 7, 2)]))
 def test_finite_field_oracle_matches_recursion(g):
     assert chi_finite_field_oracle(g) == chi_gaingraph_recursive(g, "affinographic")
+
+
+# ---------------------------------------------------------------------------
+# integer interpolation against Lagrange's form over Fraction
+
+
+def fraction_interpolate(xs, ys):
+    coeffs = [Fraction(0)] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        num = [Fraction(yi)]
+        den = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            num = [Fraction(0)] + num
+            for k in range(len(num) - 1):
+                num[k] -= num[k + 1] * xj
+            den *= xi - xj
+        for k, c in enumerate(num):
+            coeffs[k] += c / den
+    return coeffs
+
+
+def assert_interpolates_like_fraction(xs, ys):
+    ref = fraction_interpolate(xs, ys)
+    if all(c.denominator == 1 for c in ref):
+        assert _interpolate(xs, ys) == tuple(int(c) for c in ref)
+    else:
+        with pytest.raises(VerificationError):
+            _interpolate(xs, ys)
+
+
+small_points = st.lists(st.integers(-60, 60), min_size=1, max_size=7, unique=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_points, st.data())
+def test_interpolate_recovers_integer_polynomials(xs, data):
+    coeffs = data.draw(
+        st.lists(st.integers(-(10**6), 10**6), min_size=len(xs), max_size=len(xs))
+    )
+    ys = [IntPolynomial(coeffs)(x) for x in xs]
+    assert _interpolate(xs, ys) == tuple(coeffs)
+    assert_interpolates_like_fraction(xs, ys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_points, st.data())
+def test_interpolate_matches_fraction_reference(xs, data):
+    ys = data.draw(
+        st.lists(st.integers(-(10**4), 10**4), min_size=len(xs), max_size=len(xs))
+    )
+    assert_interpolates_like_fraction(xs, ys)
+
+
+def test_interpolate_rejects_non_integral_points():
+    # the line through (0, 0) and (2, 1) is t / 2
+    assert fraction_interpolate([0, 2], [0, 1]) == [0, Fraction(1, 2)]
+    with pytest.raises(VerificationError):
+        _interpolate([0, 2], [0, 1])
+    # through (1, 0), (3, 0) and (5, 1): (t - 1)(t - 3) / 8, not in Z[t]
+    with pytest.raises(VerificationError):
+        _interpolate([1, 3, 5], [0, 0, 1])
 
 
 def test_poset_moebius_structure():

@@ -132,20 +132,30 @@ def test_free_signed_mode(tmp_path, capsys):
         "edge 1 2 0\nedge 2 3 0\nedge 3 4 0\nedge 1 4 1\n"
     )
     path = write_graph(tmp_path, text)
-    code, doc = run_json(capsys, ["free", path, "--mode", "signed"])
+    code, doc = run_json(capsys, ["signed-check", path])
     assert code == 0
     assert doc["verdict"] is False
     assert doc["agree"] is True
     assert doc["criterion"] == doc["dfBias"] == doc["dfCone"] is False
     assert doc["inducedUnbalancedCycle"] is True
+    assert doc["mode"] == "signed"
 
 
 def test_free_signed_mode_rejects_integer_gains(tmp_path, capsys):
     path = write_graph(tmp_path, "group Z\nvertices 2\nedge 1 2 0\n")
-    code = main(["free", path, "--mode", "signed"])
+    code = main(["signed-check", path])
     err = capsys.readouterr().err
     assert code == 2
     assert "two-element group" in err
+
+
+@pytest.mark.parametrize("mode", ["signed", "free3"])
+def test_free_mode_has_no_subcommand_aliases(tmp_path, capsys, mode):
+    path = write_graph(tmp_path, "group F 2\nvertices 3\nedge 1 2 0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["free", path, "--mode", mode])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_free3_catalan(tmp_path, capsys):

@@ -10,13 +10,11 @@ from gainarr.errors import SearchBudgetExceeded, VerificationError
 from gainarr.freeness import (
     clear_caches,
     df_along_edges,
-    exponents_from_chi,
     freeness_verdicts,
     if_along_edges,
     replay_certificate,
 )
 from gainarr.gaingraph import GROUP_Z, GainGraph, group_f
-from gainarr.intpoly import IntPolynomial
 
 F2 = group_f(2)
 
@@ -169,8 +167,3 @@ def test_if_implies_df_on_fixtures():
         v = freeness_verdicts(g)
         for kind in ("cone", "bias"):
             assert not v["if"][kind] or v["df"][kind]
-
-
-def test_exponents_from_chi():
-    assert exponents_from_chi(IntPolynomial.from_roots([1, 2, 3])) == (1, 2, 3)
-    assert exponents_from_chi(IntPolynomial((1, 0, 1))) is None

@@ -2,11 +2,11 @@
 
 import pytest
 
+from gainarr import charpoly, freeness, lowdim
 from gainarr.errors import GraphError
 from gainarr.gaingraph import (
     GROUP_Z,
     GainGraph,
-    canonical_key,
     contract_edge,
     delete_edge,
     enumerate_cycles,
@@ -89,7 +89,7 @@ def test_switching_preserves_cycle_balance():
     g = GainGraph(F2, (1, 2, 3), [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
     balances = sorted(is_balanced(c, g.group) for c in enumerate_cycles(g))
     s = switch_vertex(g, 2)
-    assert s.key != g.key
+    assert s != g
     assert sorted(is_balanced(c, s.group) for c in enumerate_cycles(s)) == balances
 
 
@@ -101,7 +101,7 @@ def test_switching_needs_sign_gains():
 
 def test_switching_is_an_involution_over_f2():
     g = GainGraph(F2, (1, 2, 3), [(1, 2, 0), (2, 3, 1), (1, 3, 1)])
-    assert switch_vertex(switch_vertex(g, 2), 2).key == g.key
+    assert switch_vertex(switch_vertex(g, 2), 2) == g
 
 
 def test_enumerate_cycles_triangle():
@@ -136,7 +136,65 @@ def test_induced_subgraph():
     assert h.edges == ((1, 3, 3),)
 
 
+# ---------------------------------------------------------------------------
+# the graph record: validated on construction, compared and hashed by value
+
+
+def test_unknown_group_rejected():
+    for group in ("Q", ("F",), ("G", 2), ["F", 2]):
+        with pytest.raises(GraphError):
+            GainGraph(group, (1, 2), [])
+
+
+def test_constructor_normalizes_and_collapses():
+    g = GainGraph(GROUP_Z, (2, 1), [(2, 1, 3), (1, 2, -3), (2, 1, 3)])
+    assert g.vertices == (1, 2)
+    assert g.edges == ((1, 2, -3),)
+
+
 def test_canonical_key_identifies_equal_graphs():
+    # the graph is its own canonical key
     a = GainGraph(GROUP_Z, (1, 2), [(2, 1, -1)])
     b = GainGraph(GROUP_Z, (2, 1), [(1, 2, 1)])
-    assert canonical_key(a) == canonical_key(b)
+    assert a == b and hash(a) == hash(b)
+    assert a == tuple(a) == (GROUP_Z, (1, 2), ((1, 2, 1),))
+    assert hash(a) == hash(tuple(a))
+    assert len({a, b, tuple(a)}) == 1
+    assert a != GainGraph(GROUP_Z, (1, 2), [(1, 2, 2)])
+    assert a != GainGraph(F2, (1, 2), [(1, 2, 1)])
+
+
+def test_repr_is_the_constructor_call():
+    g = GainGraph(GROUP_Z, (1, 2), [(1, 2, 0)])
+    assert repr(g) == "GainGraph('Z', (1, 2), ((1, 2, 0),))"
+
+
+def test_graph_is_immutable():
+    g = GainGraph(GROUP_Z, (1, 2), [(1, 2, 0)])
+    with pytest.raises(AttributeError):
+        g.edges = ()
+    with pytest.raises(AttributeError):
+        g.label = "x"
+    assert g.edges == ((1, 2, 0),)
+
+
+def test_minors_are_canonical_records():
+    g = GainGraph(GROUP_Z, (1, 2, 3), [(1, 2, 2), (1, 3, 5), (2, 3, 0)])
+    for h in (
+        delete_edge(g, (1, 3, 5)),
+        contract_edge(g, (1, 2, 2)),
+        induced_subgraph(g, (3, 1)),
+    ):
+        assert type(h) is GainGraph
+        assert h == GainGraph(*h)
+
+
+def test_clear_caches_empties_every_memo():
+    g = GainGraph(GROUP_Z, (1, 2, 3), [(1, 2, 0), (2, 3, 1)])
+    freeness.freeness_verdicts(g)
+    lowdim.coincidence_3dim(g)
+    memos = (charpoly._chi_rec, freeness._roots_of, lowdim._exp2)
+    assert all(m.cache_info().currsize > 0 for m in memos)
+    for module in (charpoly, freeness, lowdim):
+        module.clear_caches()
+    assert all(m.cache_info().currsize == 0 for m in memos)
