@@ -8,8 +8,8 @@
    flat.
 2. chi_gaingraph_recursive: deletion-contraction on the gain graph with
    base case t^l for the affinographic arrangement and (t-1)^l for the
-   bias arrangement, pivoting on the lexicographically smallest edge,
-   memoized on the graph, which is its own key.
+   bias arrangement, pivoting on the lexicographically smallest edge; one
+   pass computes both, memoized as a pair on the graph, its own key.
 3. chi_finite_field_oracle: count complement points of the affinographic
    arrangement of an integer-gain graph over enough large primes and
    interpolate; extra primes cross-check the interpolation.  The count is
@@ -161,6 +161,8 @@ def chi_poset(arr, max_hyperplanes=DEFAULT_MAX_HYPERPLANES):
 
 # a memoized call takes two interpreter frames; see _chi_rec
 _CHAIN_STRIDE = 32
+# the kinds in the order of the pair _chi_rec returns
+_CHI_KINDS = ("affinographic", "bias")
 
 
 def clear_caches():
@@ -174,14 +176,23 @@ def chi_gaingraph_recursive(graph, kind):
     lexicographically smallest edge class in its canonical orientation, so
     results are reproducible node for node.
     """
-    if kind not in ("affinographic", "bias"):
+    if kind not in _CHI_KINDS:
         raise GraphError(f"unknown arrangement kind {kind!r}")
-    return _chi_rec(graph, kind)
+    return _chi_rec(graph)[_CHI_KINDS.index(kind)]
 
 
 @lru_cache(maxsize=None)
-def _chi_rec(graph, kind):
-    """Memoized deletion-contraction on the first edge.
+def _chi_rec(graph):
+    """(chi affinographic, chi bias) by memoized deletion-contraction on the
+    first edge.
+
+    One pass serves both kinds exactly.  Both arrangements satisfy
+    chi(G) = chi(G - e) - chi(G / e) for the same deletion and the same
+    contraction, so the two recursions visit the same graphs through the
+    same pivots and differ only at the edgeless base: t^n for the empty
+    affinographic arrangement, (t - 1)^n for the n coordinate hyperplanes
+    of the bias one.  Each component of the pair is the sum its own
+    recursion would accumulate.
 
     The deletions of a graph are its edge suffixes.  Before recursing, the
     suffixes whose length is a multiple of _CHAIN_STRIDE are evaluated,
@@ -193,18 +204,18 @@ def _chi_rec(graph, kind):
     """
     group, vs, es = graph
     if not es:
-        if kind == "affinographic":
-            return IntPolynomial.t_power(len(vs))
-        return IntPolynomial.from_roots([1] * len(vs))
+        n = len(vs)
+        return IntPolynomial.t_power(n), IntPolynomial.from_roots([1] * n)
     for m in range(_CHAIN_STRIDE, len(es), _CHAIN_STRIDE):
-        _chi_rec(GainGraph._make((group, vs, es[-m:])), kind)
-    deleted = GainGraph._make((group, vs, es[1:]))
-    return _chi_rec(deleted, kind) - _chi_rec(contract_edge(graph, es[0]), kind)
+        _chi_rec(GainGraph._make((group, vs, es[-m:])))
+    a_del, b_del = _chi_rec(GainGraph._make((group, vs, es[1:])))
+    a_con, b_con = _chi_rec(contract_edge(graph, es[0]))
+    return a_del - a_con, b_del - b_con
 
 
 def chi_cone(graph):
     """chi of the coned affinographic arrangement, (t - 1) * chi_affin."""
-    return T_MINUS_1 * chi_gaingraph_recursive(graph, "affinographic")
+    return T_MINUS_1 * _chi_rec(graph)[0]
 
 
 def chi_of_kind(graph, kind):

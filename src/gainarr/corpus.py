@@ -38,14 +38,18 @@ def iter_z_graphs(l, max_edges, gain_bound):
 
 
 def iter_f2_graphs(l):
-    """Every signed graph on vertices 1..l: 4 states per vertex pair."""
+    """Every signed graph on vertices 1..l: 4 states per vertex pair.
+
+    Each edge triple, and each pair's tuple of triples per state, is built
+    once and shared by every graph, and so by every memo key made from one.
+    """
     verts = tuple(range(1, l + 1))
-    pairs = vertex_pairs(l)
-    for combo in itertools.product(PAIR_STATES_F2, repeat=len(pairs)):
-        edges = tuple(
-            (i, j, g) for (i, j), st in zip(pairs, combo) for g in st
-        )
-        yield GainGraph._make((F2, verts, edges))
+    blocks = []
+    for i, j in vertex_pairs(l):
+        by_gain = ((i, j, 0), (i, j, 1))
+        blocks.append([tuple(by_gain[g] for g in st) for st in PAIR_STATES_F2])
+    for combo in itertools.product(*blocks):
+        yield GainGraph._make((F2, verts, tuple(itertools.chain(*combo))))
 
 
 def random_z_graph(rng, l, max_edges, gain_bound):

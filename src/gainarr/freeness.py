@@ -18,8 +18,14 @@ non-splitting chi at the root, and an induced subgraph with non-splitting
 chi (its coned and bias arrangements are localizations, and localizations
 of free arrangements stay free).
 
-Verdicts are memoized per graph across calls; a node cap bounds how many
-fresh subgraphs one top-level call may analyze.
+One decider node serves both kinds: each graph is analyzed once, into a
+pair of per-kind records (chi, roots, forbidden substructure, inductive
+and divisional verdicts), and the deletion and contraction of each edge
+are built at most once per node, on first use, for all four searches.
+chi comes from charpoly's memo, which holds both kinds of a graph in one
+entry.  Records are memoized per graph across calls; a node cap bounds
+how many fresh subgraphs one top-level call may analyze.  Memoized roots
+are tuples; callers receive lists of their own.
 """
 
 from __future__ import annotations
@@ -98,58 +104,89 @@ def clear_caches():
 
 @lru_cache(maxsize=None)
 def _roots_of(poly):
-    return poly.integer_roots()
+    """The integer roots of poly as a tuple, or None; shared, so immutable."""
+    roots = poly.integer_roots()
+    return None if roots is None else tuple(roots)
+
+
+class _KindNode(
+    namedtuple("_KindNode", "chi roots sub inductive divisional")
+):
+    """One kind's analysis of one graph.
+
+    sub: (subset, chi) of a forbidden induced subgraph, or None.
+    inductive, divisional: (verdict, pivot edge, detail), where detail is
+    a refutation reason or the tuple of per-edge failures.
+    """
+
+    __slots__ = ()
 
 
 def _analyze(graph, budget):
-    """Shared decider node: all four verdicts for one graph."""
+    """Shared decider node: a _KindNode per entry of KINDS, in that order.
+
+    The deletion and contraction of an edge are built on first use and
+    serve both deciders and both kinds; so do the induced subgraphs of the
+    forbidden-substructure scan.
+    """
     rec = _ANALYSIS.get(graph)
     if rec is not None:
         return rec
     budget.spend()
-    chi = {k: chi_of_kind(graph, k) for k in KINDS}
-    roots = {k: _roots_of(chi[k]) for k in KINDS}
-    rec = {
-        "chi": chi,
-        "roots": roots,
-        "sub": {},
-        "if": {},
-        "df": {},
-    }
-    for kind in KINDS:
-        if not graph.edges:
-            rec["if"][kind] = (True, None, None)
-            rec["df"][kind] = (True, None, None)
-            continue
-        if roots[kind] is None:
-            rec["if"][kind] = (False, None, NON_INTEGER_ROOTS)
-            rec["df"][kind] = (False, None, NON_INTEGER_ROOTS)
-            continue
-        sub = _forbidden_substructure(graph, kind)
-        rec["sub"][kind] = sub
-        if sub is not None:
-            rec["if"][kind] = (False, None, FORBIDDEN_SUBSTRUCTURE)
-            rec["df"][kind] = (False, None, FORBIDDEN_SUBSTRUCTURE)
-            continue
-        rec["if"][kind] = _search_if(graph, kind, chi[kind], budget)
-        rec["df"][kind] = _search_df(graph, kind, chi[kind], budget)
-    _ANALYSIS[graph] = rec
+    edges = graph.edges
+    branches = [None] * len(edges)
+
+    def branch(k):
+        pair = branches[k]
+        if pair is None:
+            pair = branches[k] = _branches(graph, edges[k])
+        return pair
+
+    subgraphs = None
+    nodes = []
+    for i, kind in enumerate(KINDS):
+        chi = chi_of_kind(graph, kind)
+        roots = _roots_of(chi)
+        sub = None
+        if not edges:
+            inductive = divisional = (True, None, None)
+        elif roots is None:
+            inductive = divisional = (False, None, NON_INTEGER_ROOTS)
+        else:
+            if subgraphs is None:
+                subgraphs = _induced_subgraphs(graph)
+            sub = _forbidden_substructure(subgraphs, kind)
+            if sub is not None:
+                inductive = divisional = (False, None, FORBIDDEN_SUBSTRUCTURE)
+            else:
+                inductive = _search_if(edges, branch, i, budget)
+                divisional = _search_df(edges, branch, i, chi, budget)
+        nodes.append(_KindNode(chi, roots, sub, inductive, divisional))
+    rec = _ANALYSIS[graph] = tuple(nodes)
     return rec
 
 
-def _forbidden_substructure(graph, kind):
-    """A proper induced subgraph with non-splitting chi, if one exists."""
+def _induced_subgraphs(graph):
+    """(subset, subgraph) for every proper induced subgraph on at least 3
+    vertices that has an edge, in scan order."""
     n = graph.n_vertices
     if n > _SUBSCAN_MAX_VERTICES:
-        return None
+        return ()
+    out = []
     for size in range(3, n):
         for subset in itertools.combinations(graph.vertices, size):
             sg = induced_subgraph(graph, subset)
-            if not sg.edges:
-                continue
-            chi_sub = chi_of_kind(sg, kind)
-            if _roots_of(chi_sub) is None:
-                return (subset, chi_sub)
+            if sg.edges:
+                out.append((subset, sg))
+    return out
+
+
+def _forbidden_substructure(subgraphs, kind):
+    """The first induced subgraph with non-splitting chi, if one exists."""
+    for subset, sg in subgraphs:
+        chi_sub = chi_of_kind(sg, kind)
+        if _roots_of(chi_sub) is None:
+            return (subset, chi_sub)
     return None
 
 
@@ -160,10 +197,11 @@ def _branches(graph, e):
     return deleted, contract_edge(graph, e)
 
 
-def _search_if(graph, kind, chi, budget):
+def _search_if(edges, branch, i, budget):
+    kind = KINDS[i]
     fails = []
-    for e in graph.edges:
-        deleted, contracted = _branches(graph, e)
+    for k, e in enumerate(edges):
+        deleted, contracted = branch(k)
         roots_del = _roots_of(chi_of_kind(deleted, kind))
         if roots_del is None:
             fails.append((e, DEL_CHI_NON_SPLIT))
@@ -175,25 +213,26 @@ def _search_if(graph, kind, chi, budget):
         if not _included(roots_con, roots_del):
             fails.append((e, EXP_NON_INCLUSION))
             continue
-        if not _analyze(contracted, budget)["if"][kind][0]:
+        if not _analyze(contracted, budget)[i].inductive[0]:
             fails.append((e, CON_NOT_FREE))
             continue
-        if not _analyze(deleted, budget)["if"][kind][0]:
+        if not _analyze(deleted, budget)[i].inductive[0]:
             fails.append((e, DEL_NOT_FREE))
             continue
         return (True, e, None)
     return (False, None, tuple(fails))
 
 
-def _search_df(graph, kind, chi, budget):
+def _search_df(edges, branch, i, chi, budget):
+    kind = KINDS[i]
     fails = []
-    for e in graph.edges:
-        _, contracted = _branches(graph, e)
+    for k, e in enumerate(edges):
+        _, contracted = branch(k)
         chi_con = chi_of_kind(contracted, kind)
         if not chi_con.divides(chi):
             fails.append((e, CHI_NON_DIVISION))
             continue
-        if not _analyze(contracted, budget)["df"][kind][0]:
+        if not _analyze(contracted, budget)[i].divisional[0]:
             fails.append((e, CON_NOT_FREE))
             continue
         return (True, e, None)
@@ -285,9 +324,8 @@ def _collect_witness(graph, decider, kind, budget):
         if g in seen:
             continue
         seen.add(g)
-        rec = _analyze(g, budget)
-        chi = rec["chi"][kind]
-        verdict, pivot, _ = rec[decider][kind]
+        node = _analyze(g, budget)[KINDS.index(kind)]
+        verdict, pivot, _ = getattr(node, decider)
         if not verdict:
             raise VerificationError("witness walk reached a refuted subgraph")
         steps.append(
@@ -295,13 +333,13 @@ def _collect_witness(graph, decider, kind, budget):
                 "vertices": g.vertices,
                 "edges": g.edges,
                 "pivot": pivot,
-                "chi": str(chi),
-                "exponents": rec["roots"][kind],
+                "chi": str(node.chi),
+                "exponents": list(node.roots),
             }
         )
         if pivot is not None:
             deleted, contracted = _branches(g, pivot)
-            if decider == "if":
+            if decider == "inductive":
                 stack.append(deleted)
             stack.append(contracted)
     return tuple(steps)
@@ -320,14 +358,14 @@ def _collect_failure_tree(graph, decider, kind, budget, node_cap):
             raise SearchBudgetExceeded(
                 f"failure certificate exceeds the node cap of {node_cap}"
             )
-        rec = _analyze(g, budget)
-        verdict, _, detail = rec[decider][kind]
+        node = _analyze(g, budget)[KINDS.index(kind)]
+        verdict, _, detail = getattr(node, decider)
         if verdict:
             continue
         entry = {
             "vertices": g.vertices,
             "edges": g.edges,
-            "chi": str(rec["chi"][kind]),
+            "chi": str(node.chi),
             "edge_failures": (),
             "reason": detail if isinstance(detail, str) else NO_ADMISSIBLE_EDGE,
         }
@@ -346,10 +384,9 @@ def _collect_failure_tree(graph, decider, kind, budget, node_cap):
 def _certify(graph, decider, kind, node_cap):
     kind = normalize_kind(kind)
     budget = _Budget(node_cap)
-    rec = _analyze(graph, budget)
-    chi = rec["chi"][kind]
-    verdict, pivot, detail = rec[decider][kind]
-    exponents = rec["roots"][kind]
+    node = _analyze(graph, budget)[KINDS.index(kind)]
+    chi = node.chi
+    verdict, _, detail = getattr(node, decider)
     steps = ()
     refutation = None
     if verdict:
@@ -358,7 +395,7 @@ def _certify(graph, decider, kind, node_cap):
         if detail == NON_INTEGER_ROOTS:
             refutation = {"reason": NON_INTEGER_ROOTS, "chi": chi}
         elif detail == FORBIDDEN_SUBSTRUCTURE:
-            subset, chi_sub = rec["sub"][kind]
+            subset, chi_sub = node.sub
             refutation = {
                 "reason": FORBIDDEN_SUBSTRUCTURE,
                 "subset": subset,
@@ -373,12 +410,12 @@ def _certify(graph, decider, kind, node_cap):
                 ),
             }
     return FreenessCertificate(
-        decider="inductive" if decider == "if" else "divisional",
+        decider=decider,
         kind=kind,
         graph_key=tuple(graph),
         verdict=verdict,
         chi=chi,
-        exponents=exponents,
+        exponents=_fresh(node.roots),
         steps=steps,
         refutation=refutation,
         nodes_explored=budget.used,
@@ -387,12 +424,12 @@ def _certify(graph, decider, kind, node_cap):
 
 def if_along_edges(graph, kind="cone", node_cap=DEFAULT_NODE_CAP):
     """Decide inductive freeness along edges; returns a FreenessCertificate."""
-    return _certify(graph, "if", kind, node_cap)
+    return _certify(graph, "inductive", kind, node_cap)
 
 
 def df_along_edges(graph, kind="cone", node_cap=DEFAULT_NODE_CAP):
     """Decide divisional freeness along edges; returns a FreenessCertificate."""
-    return _certify(graph, "df", kind, node_cap)
+    return _certify(graph, "divisional", kind, node_cap)
 
 
 def freeness_verdicts(graph, node_cap=DEFAULT_NODE_CAP):
@@ -400,12 +437,17 @@ def freeness_verdicts(graph, node_cap=DEFAULT_NODE_CAP):
     budget = _Budget(node_cap)
     rec = _analyze(graph, budget)
     return {
-        "if": {k: rec["if"][k][0] for k in KINDS},
-        "df": {k: rec["df"][k][0] for k in KINDS},
-        "chi": dict(rec["chi"]),
-        "exponents": dict(rec["roots"]),
+        "if": {k: n.inductive[0] for k, n in zip(KINDS, rec)},
+        "df": {k: n.divisional[0] for k, n in zip(KINDS, rec)},
+        "chi": {k: n.chi for k, n in zip(KINDS, rec)},
+        "exponents": {k: _fresh(n.roots) for k, n in zip(KINDS, rec)},
         "nodes": budget.used,
     }
+
+
+def _fresh(roots):
+    """A caller's own list of the memoized roots, or None."""
+    return None if roots is None else list(roots)
 
 
 # ---------------------------------------------------------------------------

@@ -94,27 +94,34 @@ def contract_edge(graph, edge):
     [k, j, h + g]; loops at j and duplicate classes are dropped.  The edge
     may be given in either orientation; the orientation given is the one
     contracted.
+
+    Classes away from i are kept as they are.  A class at i is re-gained
+    inline in the canonical orientation: (k, j, x) when k < j, else
+    (j, k, -x), with x = h + g reduced mod p over F_p.
     """
     i, j, g = edge
-    cls = normalize_edge(graph.group, i, j, g)
+    group = graph.group
+    cls = normalize_edge(group, i, j, g)
     if cls not in graph.edges:
         raise GraphError(f"edge {cls} not present")
-    group = graph.group
+    p = None if group == GROUP_Z else group[1]
     new_edges = set()
-    for u, v, h in graph.edges:
-        if (u, v, h) == cls:
-            continue
-        if u != i and v != i:
-            new_edges.add((u, v, h))
-            continue
-        # gain toward i: class (u, v, h) read from the other endpoint
+    for e in graph.edges:
+        u, v, h = e
+        # k is the other endpoint, x the gain read from k toward i, then j
         if v == i:
-            k, toward = u, h
+            k, x = u, h + g
+        elif u == i:
+            k, x = v, g - h
         else:
-            k, toward = v, gain_neg(group, h)
+            new_edges.add(e)
+            continue
         if k == j:
-            continue  # becomes a loop at j
-        new_edges.add(normalize_edge(group, k, j, gain_add(group, toward, g)))
+            continue  # a loop at j; the contracted class is one of these
+        if k < j:
+            new_edges.add((k, j, x if p is None else x % p))
+        else:
+            new_edges.add((j, k, -x if p is None else -x % p))
     return GainGraph._make(
         (group, tuple(v for v in graph.vertices if v != i), tuple(sorted(new_edges)))
     )

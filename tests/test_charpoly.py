@@ -15,6 +15,7 @@ from gainarr.arrangement import (
     make_hyperplane,
 )
 from gainarr.charpoly import (
+    _chi_rec,
     _complement_count,
     _interpolate,
     _poset_from_rows,
@@ -70,6 +71,21 @@ def test_long_deletion_chain_stays_shallow():
     g = GainGraph(GROUP_Z, (1, 2), [(1, 2, c) for c in range(k)])
     assert chi_gaingraph_recursive(g, "affinographic") == IntPolynomial((0, -k, 1))
     assert chi_gaingraph_recursive(g, "bias") == IntPolynomial.from_roots([1, k + 1])
+
+
+def test_one_memo_entry_serves_both_kinds():
+    clear_caches()
+    g = GainGraph(GROUP_Z, (1, 2, 3, 4), [(1, 2, 0), (1, 3, 1), (2, 4, -1), (3, 4, 0)])
+    chi_gaingraph_recursive(g, "affinographic")
+    before = _chi_rec.cache_info()
+    assert chi_gaingraph_recursive(g, "bias").shift(1) == chi_gaingraph_recursive(
+        g, "affinographic"
+    )
+    chi_of_kind(g, "cone")
+    after = _chi_rec.cache_info()
+    assert after.misses == before.misses
+    assert after.currsize == before.currsize
+    assert after.hits == before.hits + 3
 
 
 def test_cone_relation():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gainarr import charpoly, freeness
 from gainarr.errors import SearchBudgetExceeded, VerificationError
 from gainarr.freeness import (
     clear_caches,
@@ -15,6 +16,7 @@ from gainarr.freeness import (
     replay_certificate,
 )
 from gainarr.gaingraph import GROUP_Z, GainGraph, group_f
+from gainarr.verify import kind_agreement_suite
 
 F2 = group_f(2)
 
@@ -167,3 +169,28 @@ def test_if_implies_df_on_fixtures():
         v = freeness_verdicts(g)
         for kind in ("cone", "bias"):
             assert not v["if"][kind] or v["df"][kind]
+
+
+def test_mutating_exponents_leaves_later_answers_unchanged():
+    clear_caches()
+    g = braid(3)
+    cert = if_along_edges(g)
+    want = list(cert.exponents)
+    cert.exponents.append(99)
+    cert.steps[0]["exponents"].append(99)
+    freeness_verdicts(g)["exponents"]["cone"].append(99)
+    again = if_along_edges(g)
+    assert again.exponents == want
+    assert again.steps[0]["exponents"] == want
+    assert freeness_verdicts(g)["exponents"]["cone"] == want
+    assert replay_certificate(again, g)
+
+
+def test_memo_sizes_pinned_on_small_kind_agreement():
+    # one chi entry and one analysis record per graph, both kinds inside:
+    # a memo split per kind again would double the chi count
+    charpoly.clear_caches()
+    clear_caches()
+    assert kind_agreement_suite(max_vertices=3, max_edges=3, gain_bound=1)["passed"]
+    assert charpoly._chi_rec.cache_info().currsize == 233
+    assert len(freeness._ANALYSIS) == 231

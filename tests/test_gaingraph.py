@@ -1,5 +1,7 @@
 """Gain graphs: normalization, minors, switching, cycles."""
 
+import random
+
 import pytest
 
 from gainarr import charpoly, freeness, lowdim
@@ -10,9 +12,12 @@ from gainarr.gaingraph import (
     contract_edge,
     delete_edge,
     enumerate_cycles,
+    gain_add,
+    gain_neg,
     group_f,
     induced_subgraph,
     is_balanced,
+    normalize_edge,
     switch_vertex,
 )
 
@@ -83,6 +88,59 @@ def test_contract_drops_loops_and_merges_parallels():
     # the parallel class [1,2,1] becomes an unbalanced loop: discarded
     assert h.vertices == (2, 3)
     assert h.edges == ((2, 3, 0),)
+
+
+def reference_contract(graph, edge):
+    """Contraction re-gained through normalize_edge and gain_add, edge by
+    edge: the reference for contract_edge's inline re-gaining."""
+    i, j, g = edge
+    group = graph.group
+    cls = normalize_edge(group, i, j, g)
+    if cls not in graph.edges:
+        raise GraphError(f"edge {cls} not present")
+    new_edges = set()
+    for u, v, h in graph.edges:
+        if (u, v, h) == cls:
+            continue
+        if u != i and v != i:
+            new_edges.add((u, v, h))
+            continue
+        if v == i:
+            k, toward = u, h
+        else:
+            k, toward = v, gain_neg(group, h)
+        if k == j:
+            continue
+        new_edges.add(normalize_edge(group, k, j, gain_add(group, toward, g)))
+    return GainGraph._make(
+        (group, tuple(v for v in graph.vertices if v != i), tuple(sorted(new_edges)))
+    )
+
+
+@pytest.mark.parametrize("group", [GROUP_Z, F2, group_f(3), F5])
+def test_contract_edge_matches_reference(group):
+    rng = random.Random(f"contract-{group}")
+    p = None if group == GROUP_Z else group[1]
+    gains = range(-3, 4) if p is None else range(p)
+    for _ in range(300):
+        l = rng.randint(2, 5)
+        pairs = [(i, j) for i in range(1, l + 1) for j in range(i + 1, l + 1)]
+        ground = [(i, j, g) for i, j in pairs for g in gains]
+        k = rng.randint(1, min(7, len(ground)))
+        g = GainGraph(group, range(1, l + 1), rng.sample(ground, k))
+        for i, j, h in g.edges:
+            # both orientations, and unreduced F_p gains in either
+            given = [(i, j, h), (j, i, -h)]
+            if p is not None:
+                given += [(i, j, h + p * rng.randint(1, 3)), (j, i, p - h - 2 * p)]
+            for edge in given:
+                assert contract_edge(g, edge) == reference_contract(g, edge)
+        absent = [e for e in ground if e not in g.edges]
+        if absent:
+            i, j, h = rng.choice(absent)
+            for edge in ((i, j, h), (j, i, -h)):
+                with pytest.raises(GraphError):
+                    contract_edge(g, edge)
 
 
 def test_switching_preserves_cycle_balance():
