@@ -9,7 +9,8 @@
 2. chi_gaingraph_recursive: deletion-contraction on the gain graph with
    base case t^l for the affinographic arrangement and (t-1)^l for the
    bias arrangement, pivoting on the lexicographically smallest edge; one
-   pass computes both, memoized as a pair on the graph, its own key.
+   pass computes both, memoized as a pair on the graph, its own key.  The
+   memo holds one object per distinct chi and per distinct pair.
 3. chi_finite_field_oracle: count complement points of the affinographic
    arrangement of an integer-gain graph over enough large primes and
    interpolate; extra primes cross-check the interpolation.  The count is
@@ -163,10 +164,18 @@ def chi_poset(arr, max_hyperplanes=DEFAULT_MAX_HYPERPLANES):
 _CHAIN_STRIDE = 32
 # the kinds in the order of the pair _chi_rec returns
 _CHI_KINDS = ("affinographic", "bias")
+# one shared object per distinct chi (cone chi included) and per chi pair
+_INTERNED = {}
 
 
 def clear_caches():
     _chi_rec.cache_clear()
+    _cone.cache_clear()
+    _INTERNED.clear()
+
+
+def _intern(value):
+    return _INTERNED.setdefault(value, value)
 
 
 def chi_gaingraph_recursive(graph, kind):
@@ -201,21 +210,36 @@ def _chi_rec(graph):
     vertex, so the depth is at most about (_CHAIN_STRIDE + 1) per vertex,
     however many parallel classes the graph has.  Those suffixes are ones
     the recursion evaluates anyway, so the memo ends up the same.
+
+    Results are interned: many graphs share a chi, and the memo keeps one
+    object per distinct polynomial and per distinct pair.
     """
     group, vs, es = graph
     if not es:
         n = len(vs)
-        return IntPolynomial.t_power(n), IntPolynomial.from_roots([1] * n)
-    for m in range(_CHAIN_STRIDE, len(es), _CHAIN_STRIDE):
-        _chi_rec(GainGraph._make((group, vs, es[-m:])))
-    a_del, b_del = _chi_rec(GainGraph._make((group, vs, es[1:])))
-    a_con, b_con = _chi_rec(contract_edge(graph, es[0]))
-    return a_del - a_con, b_del - b_con
+        a, b = IntPolynomial.t_power(n), IntPolynomial.from_roots([1] * n)
+    else:
+        for m in range(_CHAIN_STRIDE, len(es), _CHAIN_STRIDE):
+            _chi_rec(GainGraph._make((group, vs, es[-m:])))
+        a_del, b_del = _chi_rec(GainGraph._make((group, vs, es[1:])))
+        a_con, b_con = _chi_rec(contract_edge(graph, es[0]))
+        a, b = a_del - a_con, b_del - b_con
+    return _intern((_intern(a), _intern(b)))
 
 
 def chi_cone(graph):
-    """chi of the coned affinographic arrangement, (t - 1) * chi_affin."""
-    return T_MINUS_1 * _chi_rec(graph)[0]
+    """chi of the coned affinographic arrangement, (t - 1) * chi_affin.
+
+    The product is memoized on the interned affinographic chi, so graphs
+    that share it share one cone polynomial; charpoly.clear_caches()
+    empties that memo with the others.
+    """
+    return _cone(_chi_rec(graph)[0])
+
+
+@lru_cache(maxsize=None)
+def _cone(chi_affin):
+    return _intern(T_MINUS_1 * chi_affin)
 
 
 def chi_of_kind(graph, kind):

@@ -26,6 +26,11 @@ chi comes from charpoly's memo, which holds both kinds of a graph in one
 entry.  Records are memoized per graph across calls; a node cap bounds
 how many fresh subgraphs one top-level call may analyze.  Memoized roots
 are tuples; callers receive lists of their own.
+
+Memo values are hash-consed: chi and roots come from memos that hold one
+object per distinct value, and each per-kind record and each record pair
+is interned, so graphs with equal analyses share one immutable record.
+clear_caches() empties the interning table with the memos.
 """
 
 from __future__ import annotations
@@ -95,11 +100,18 @@ class _Budget:
 
 
 _ANALYSIS = {}
+# the one shared object per distinct _KindNode and per distinct record pair
+_RECORDS = {}
 
 
 def clear_caches():
     _roots_of.cache_clear()
     _ANALYSIS.clear()
+    _RECORDS.clear()
+
+
+def _intern(value):
+    return _RECORDS.setdefault(value, value)
 
 
 @lru_cache(maxsize=None)
@@ -161,8 +173,8 @@ def _analyze(graph, budget):
             else:
                 inductive = _search_if(edges, branch, i, budget)
                 divisional = _search_df(edges, branch, i, chi, budget)
-        nodes.append(_KindNode(chi, roots, sub, inductive, divisional))
-    rec = _ANALYSIS[graph] = tuple(nodes)
+        nodes.append(_intern(_KindNode(chi, roots, sub, inductive, divisional)))
+    rec = _ANALYSIS[graph] = _intern(tuple(nodes))
     return rec
 
 

@@ -16,9 +16,24 @@ from gainarr.freeness import (
     replay_certificate,
 )
 from gainarr.gaingraph import GROUP_Z, GainGraph, group_f
+from gainarr.intpoly import IntPolynomial
 from gainarr.verify import kind_agreement_suite
 
 F2 = group_f(2)
+# chi splits on both sides, yet no edge admits either decider: the records
+# hold tuples of per-edge failures
+NO_ADMISSIBLE_EDGE_GRAPH = GainGraph(
+    GROUP_Z,
+    (1, 2, 3, 4),
+    [(1, 2, 1), (2, 3, -2), (2, 4, 2), (3, 4, -2), (3, 4, -1), (3, 4, 0), (3, 4, 2)],
+)
+# the cone's chi splits but that of the induced subgraph on {1, 2, 4} does not
+FORBIDDEN_SUB_GRAPH = GainGraph(
+    group_f(3),
+    (1, 2, 3, 4),
+    [(1, 2, 0), (1, 2, 1), (1, 3, 0), (1, 3, 1), (1, 4, 1), (2, 3, 0), (2, 3, 1),
+     (2, 3, 2), (2, 4, 2)],
+)
 
 
 def braid(l):
@@ -194,3 +209,70 @@ def test_memo_sizes_pinned_on_small_kind_agreement():
     assert kind_agreement_suite(max_vertices=3, max_edges=3, gain_bound=1)["passed"]
     assert charpoly._chi_rec.cache_info().currsize == 233
     assert len(freeness._ANALYSIS) == 231
+
+
+def test_memo_values_shared_on_small_kind_agreement():
+    # equal analyses share one record object and equal chi one polynomial,
+    # while every memo keeps its entry count (233 chi entries, 231 records)
+    charpoly.clear_caches()
+    clear_caches()
+    assert kind_agreement_suite(max_vertices=3, max_edges=3, gain_bound=1)["passed"]
+    assert charpoly._chi_rec.cache_info().currsize == 233
+    recs = list(freeness._ANALYSIS.values())
+    assert len(recs) == 231
+    assert len({id(r) for r in recs}) == len(set(recs)) == 55
+    pairs = [charpoly._chi_rec(g) for g in freeness._ANALYSIS]
+    assert len({id(p) for p in pairs}) == len(set(pairs)) == 15
+    chis = [n.chi for r in recs for n in r] + [c for p in pairs for c in p]
+    assert len({id(c) for c in chis}) == len(set(chis)) == 41
+
+
+def test_memo_records_hold_only_immutable_values():
+    # one shared record serves many graphs, so nothing in it may be mutable
+    charpoly.clear_caches()
+    clear_caches()
+    assert kind_agreement_suite(max_vertices=3, max_edges=3, gain_bound=1)["passed"]
+    for g in (path_digraph_graph(), NO_ADMISSIBLE_EDGE_GRAPH, FORBIDDEN_SUB_GRAPH):
+        freeness_verdicts(g)
+    assert isinstance(freeness._ANALYSIS[NO_ADMISSIBLE_EDGE_GRAPH][0].inductive[2], tuple)
+    assert freeness._ANALYSIS[FORBIDDEN_SUB_GRAPH][0].sub is not None
+    allowed = {tuple, freeness._KindNode, IntPolynomial, int, bool, str, type(None)}
+    seen = set()
+    stack = list(freeness._ANALYSIS.values())
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        assert type(x) in allowed, x
+        if isinstance(x, tuple):
+            stack.extend(x)
+        elif isinstance(x, IntPolynomial):
+            stack.append(x.coeffs)
+
+
+def answers(g):
+    """freeness_verdicts and all four certificates, less the node counts."""
+    v = freeness_verdicts(g)
+    del v["nodes"]
+    certs = []
+    for decide in (if_along_edges, df_along_edges):
+        for kind in ("cone", "bias"):
+            doc = decide(g, kind).to_json()
+            del doc["nodes_explored"]
+            certs.append(doc)
+    return v, certs
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(), st.lists(small_graphs(), max_size=6))
+def test_cold_and_warm_caches_give_equal_answers(g, others):
+    charpoly.clear_caches()
+    clear_caches()
+    cold = answers(g)
+    charpoly.clear_caches()
+    clear_caches()
+    for h in others:
+        answers(h)
+    assert answers(g) == cold
+    assert answers(g) == cold
