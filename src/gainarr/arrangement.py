@@ -45,13 +45,6 @@ def make_hyperplane(domain, coeffs, const):
     return Hyperplane(coeffs, const)
 
 
-def _hp_sort_key(domain, h):
-    return (
-        tuple(domain.sort_key(c) for c in h.coeffs),
-        domain.sort_key(h.const),
-    )
-
-
 class Arrangement(namedtuple("Arrangement", "domain dim hyperplanes")):
     """A finite set of distinct hyperplanes in a fixed ambient dimension."""
 
@@ -66,15 +59,11 @@ class Arrangement(namedtuple("Arrangement", "domain dim hyperplanes")):
 
 
 def make_arrangement(domain, dim, hyperplanes):
-    seen = {}
+    hyperplanes = set(hyperplanes)
     for h in hyperplanes:
         if len(h.coeffs) != dim:
             raise ArrangementError("hyperplane dimension mismatch")
-        seen[(h.coeffs, domain.sort_key(h.const))] = h
-    ordered = tuple(
-        sorted(seen.values(), key=lambda h: _hp_sort_key(domain, h))
-    )
-    return Arrangement(domain, dim, ordered)
+    return Arrangement(domain, dim, tuple(sorted(hyperplanes)))
 
 
 class Multiplicity(namedtuple("Multiplicity", "values")):

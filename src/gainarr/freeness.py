@@ -47,12 +47,6 @@ DEFAULT_NODE_CAP = 100_000
 _SUBSCAN_MAX_VERTICES = 10
 
 KINDS = ("cone", "bias")
-_KIND_ALIASES = {
-    "cone": "cone",
-    "cone-affinographic": "cone",
-    "affinographic-cone": "cone",
-    "bias": "bias",
-}
 
 # per-edge failure codes
 DEL_NOT_FREE = "deletion branch does not qualify"
@@ -69,10 +63,9 @@ NO_ADMISSIBLE_EDGE = "no admissible edge"
 
 
 def normalize_kind(kind):
-    k = _KIND_ALIASES.get(kind)
-    if k is None:
+    if kind not in KINDS:
         raise GraphError(f"unknown arrangement kind {kind!r}")
-    return k
+    return kind
 
 
 def _included(sub, sup):

@@ -64,7 +64,7 @@ def make_multiarrangement2d(domain, pairs):
             raise ArrangementError("multiplicities must be positive")
         h = make_hyperplane(domain, (a, b), domain.zero)
         combined[h.coeffs] = combined.get(h.coeffs, 0) + m
-    lines = tuple(sorted(combined, key=lambda c: tuple(domain.sort_key(x) for x in c)))
+    lines = tuple(sorted(combined))
     return Multiarrangement2D(domain, lines, tuple(combined[c] for c in lines))
 
 

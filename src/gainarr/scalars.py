@@ -3,7 +3,8 @@
 Four fields are provided behind one small protocol: the rationals Q, prime
 fields F_p, the rational function field Q(q) in a formal variable q, and
 cyclotomic fields Q(zeta_p).  Payloads are plain immutable hashable values
-(Fraction, int, tuple pairs, Fraction tuples); all arithmetic goes through
+(Fraction, int, tuple pairs, Fraction tuples) that Python orders, so
+hyperplanes and lines sort as plain tuples; all arithmetic goes through
 the domain object, which is a stateless singleton per field.  The ring Z
 (int payloads) carries only what the fraction-free SpanTracker, which
 never divides, asks of a domain: integer_image maps rows over Q, Q(zeta_2)
@@ -250,9 +251,6 @@ class Rationals:
     def eq(self, a, b):
         return a == b
 
-    def sort_key(self, a):
-        return a
-
     def row_primitive(self, vec):
         return vec
 
@@ -323,9 +321,6 @@ class PrimeField:
 
     def eq(self, a, b):
         return (a - b) % self.p == 0
-
-    def sort_key(self, a):
-        return a
 
     def row_primitive(self, vec):
         return vec
@@ -418,9 +413,6 @@ class RationalFunctions:
 
     def eq(self, a, b):
         return a == b
-
-    def sort_key(self, a):
-        return a
 
     def row_primitive(self, vec):
         """The row rescaled by a nonzero scalar to keep entries small.
@@ -602,9 +594,6 @@ class CyclotomicField:
 
     def eq(self, a, b):
         return a == b
-
-    def sort_key(self, a):
-        return a
 
     def row_primitive(self, vec):
         return vec

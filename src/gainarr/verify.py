@@ -3,9 +3,16 @@
 Each suite sweeps a deterministic corpus, compares independent computations
 of the same quantity, and returns a JSON-ready report.  Reports embed the
 tool version, the seed, and every bound, and contain nothing run-dependent,
-so identical configuration yields byte-identical output.  A failing check
-records the instance (greedily minimized when it is a graph), the expected
-value, and the value obtained.
+so identical configuration yields byte-identical output.  A suite's bounds
+are its keyword arguments other than seed.
+
+Every check is stated once.  An audit maps one instance to its list of
+failures, each recording the instance, the expected value and the value
+obtained, and _Suite.sweep runs an audit over a corpus.  A graph check is
+a single function problems(g) returning (check, expected, got) triples;
+_minimized turns it into an audit that shrinks a failing graph with
+problems as the predicate and reports the minimized graph together with
+that graph's own problems.
 """
 
 from __future__ import annotations
@@ -111,6 +118,35 @@ def _fail(check, instance, expected, got):
     return {"check": check, "expected": expected, "got": got, "instance": instance}
 
 
+def _expect(check, instance, expected, got):
+    """No failure when got equals expected, else one with both as strings."""
+    return [] if got == expected else [_fail(check, instance, str(expected), str(got))]
+
+
+def _failures(g, found):
+    return [_fail(check, graph_summary(g), want, got) for check, want, got in found]
+
+
+def _minimized(problems):
+    """The audit of a graph check: a failing graph is greedily minimized with
+    problems as the predicate and reported with the minimized graph's own
+    problems."""
+
+    def audit(g):
+        found = problems(g)
+        if found:
+            g = minimize_failing_graph(g, problems)
+            found = problems(g)
+        return _failures(g, found)
+
+    return audit
+
+
+def _bounds(arguments):
+    """A suite's bounds: its keyword arguments other than seed."""
+    return {k: v for k, v in sorted(arguments.items()) if k != "seed"}
+
+
 class _Suite:
     def __init__(self, name, seed, bounds):
         self.name = name
@@ -124,6 +160,17 @@ class _Suite:
             {"failures": len(fails), "instances": instances, "name": name}
         )
         self.failures.extend(fails)
+
+    def sweep(self, name, instances, audit):
+        """Record check name over instances, collecting the failures that
+        audit returns for each; returns the instance count."""
+        n = 0
+        fails = []
+        for instance in instances:
+            n += 1
+            fails.extend(audit(instance))
+        self.check(name, n, fails)
+        return n
 
     def report(self):
         return {
@@ -141,67 +188,56 @@ class _Suite:
 # shift identity between the two characteristic polynomials
 
 
-def _identity_fails(g):
+def _identity_holds(a, b):
+    return a == b.shift(1) and not (a.coeffs and a.coeffs[0])
+
+
+def _identity_problems(g):
     a = chi_gaingraph_recursive(g, "affinographic")
     b = chi_gaingraph_recursive(g, "bias")
-    return a != b.shift(1) or (bool(a.coeffs) and a.coeffs[0] != 0)
+    if _identity_holds(a, b):
+        return []
+    return [("shift-identity", str(b.shift(1)), str(a))]
 
 
-def _identity_failure(g, check):
-    bad = minimize_failing_graph(g, _identity_fails)
+def _identity_failure(g):
+    """The minimized shift-identity failure for g, recorded even when only
+    an incrementally computed chi of g was wrong and the library's holds."""
+    bad = minimize_failing_graph(g, _identity_problems)
     a = chi_gaingraph_recursive(bad, "affinographic")
     b = chi_gaingraph_recursive(bad, "bias")
-    return _fail(check, graph_summary(bad), str(b.shift(1)), str(a))
+    return _fail("shift-identity", graph_summary(bad), str(b.shift(1)), str(a))
 
 
-def _scan_identity_z(l, max_edges, gain_bound, stride, id_fails, cross_fails):
-    """Incremental sweep of every gain graph on 1..l within the bounds.
+def _identity_scan(l, max_edges, gain_bound):
+    """Every gain graph on 1..l within the bounds, with both its chi.
 
-    Walks edge subsets in ascending ground-set order.  Adding edge e on
-    top of subset S turns chi(S) into chi(S + e) = chi(S) - chi((S + e)/e),
-    so each node costs one contraction instead of a full recursion.  Every
-    stride-th node is recomputed from scratch through the library path,
-    which pivots differently, as an independent cross-check.
+    Walks edge subsets in ascending ground-set order, yielding (graph,
+    affinographic chi, bias chi).  Adding edge e on top of subset S turns
+    chi(S) into chi(S + e) = chi(S) - chi((S + e)/e), so each node costs
+    one contraction instead of a full recursion.
     """
     verts = tuple(range(1, l + 1))
     ground = z_ground_set(l, gain_bound)
-    counts = [0, 0]
 
-    def rec(start, edges, chi_a, chi_b):
-        counts[0] += 1
-        if chi_a != chi_b.shift(1) or chi_a.coeffs[0] != 0:
-            g = GainGraph._make((GROUP_Z, verts, edges))
-            id_fails.append(_identity_failure(g, "shift-identity"))
-        if stride and counts[0] % stride == 0:
-            g = GainGraph._make((GROUP_Z, verts, edges))
-            ra = chi_gaingraph_recursive(g, "affinographic")
-            rb = chi_gaingraph_recursive(g, "bias")
-            counts[1] += 1
-            if ra != chi_a or rb != chi_b:
-                cross_fails.append(
-                    _fail(
-                        "incremental-vs-recursive",
-                        graph_summary(g),
-                        f"{ra}; {rb}",
-                        f"{chi_a}; {chi_b}",
-                    )
-                )
-        if len(edges) == max_edges:
+    def rec(start, g, chi_a, chi_b):
+        yield g, chi_a, chi_b
+        if len(g.edges) == max_edges:
             return
         for k in range(start, len(ground)):
             e = ground[k]
-            child_edges = edges + (e,)
-            child = GainGraph._make((GROUP_Z, verts, child_edges))
+            child = GainGraph._make((GROUP_Z, verts, g.edges + (e,)))
             contracted = contract_edge(child, e)
-            rec(
+            yield from rec(
                 k + 1,
-                child_edges,
+                child,
                 chi_a - chi_gaingraph_recursive(contracted, "affinographic"),
                 chi_b - chi_gaingraph_recursive(contracted, "bias"),
             )
 
-    rec(0, (), IntPolynomial.t_power(l), IntPolynomial.from_roots([1] * l))
-    return counts
+    empty = GainGraph._make((GROUP_Z, verts, ()))
+    edgeless_bias = IntPolynomial.from_roots([1] * l)
+    yield from rec(0, empty, IntPolynomial.t_power(l), edgeless_bias)
 
 
 def chi_identity_suite(
@@ -214,45 +250,67 @@ def chi_identity_suite(
 ):
     """chi of the difference arrangement equals chi of the bias arrangement
     shifted by one, and t divides the former, over the exhaustive corpus,
-    all small signed graphs, and seeded random larger graphs."""
-    s = _Suite(
-        "chi-identity",
-        seed,
-        {
-            "cross_stride": cross_stride,
-            "gain_bound": gain_bound,
-            "max_edges": max_edges,
-            "max_vertices": max_vertices,
-            "random_count": random_count,
-        },
-    )
+    all small signed graphs, and seeded random larger graphs.  Every
+    cross_stride-th incrementally computed chi of the exhaustive corpus is
+    recomputed from scratch through the library path, which pivots
+    differently, as an independent cross-check."""
+    s = _Suite("chi-identity", seed, _bounds(locals()))
     for l in range(1, max_vertices + 1):
-        id_fails, cross_fails = [], []
-        graphs, crosses = _scan_identity_z(
-            l, max_edges, gain_bound, cross_stride, id_fails, cross_fails
+        cross_fails = []
+
+        def audit(node):
+            n, (g, chi_a, chi_b) = node
+            fails = [] if _identity_holds(chi_a, chi_b) else [_identity_failure(g)]
+            if cross_stride and n % cross_stride == 0:
+                ra = chi_gaingraph_recursive(g, "affinographic")
+                rb = chi_gaingraph_recursive(g, "bias")
+                if ra != chi_a or rb != chi_b:
+                    cross_fails.append(
+                        _fail(
+                            "incremental-vs-recursive",
+                            graph_summary(g),
+                            f"{ra}; {rb}",
+                            f"{chi_a}; {chi_b}",
+                        )
+                    )
+            return fails
+
+        graphs = s.sweep(
+            f"z-exhaustive-l{l}",
+            enumerate(_identity_scan(l, max_edges, gain_bound), 1),
+            audit,
         )
-        s.check(f"z-exhaustive-l{l}", graphs, id_fails)
+        crosses = graphs // cross_stride if cross_stride else 0
         s.check(f"z-cross-check-l{l}", crosses, cross_fails)
+    identity = _minimized(_identity_problems)
     for l in range(1, max_vertices + 1):
-        fails = []
-        n = 0
-        for g in iter_f2_graphs(l):
-            n += 1
-            if _identity_fails(g):
-                fails.append(_identity_failure(g, "shift-identity"))
-        s.check(f"f2-exhaustive-l{l}", n, fails)
+        s.sweep(f"f2-exhaustive-l{l}", iter_f2_graphs(l), identity)
     rng = random.Random(seed)
-    fails = []
-    for _ in range(random_count):
-        g = random_z_graph(rng, rng.choice((5, 6)), 10, 4)
-        if _identity_fails(g):
-            fails.append(_identity_failure(g, "shift-identity"))
-    s.check("z-random-large", random_count, fails)
+    s.sweep(
+        "z-random-large",
+        (random_z_graph(rng, rng.choice((5, 6)), 10, 4) for _ in range(random_count)),
+        identity,
+    )
     return s.report()
 
 
 # ---------------------------------------------------------------------------
 # independent oracles for the characteristic polynomial
+
+
+def _oracle_problems(g):
+    """Recursive chi against the poset for all three arrangements, and
+    against finite-field point counting for integer gains."""
+    affin = build_affinographic(g)
+    chi_affin = chi_gaingraph_recursive(g, "affinographic")
+    rows = [
+        ("poset-affinographic", chi_poset(affin), chi_affin),
+        ("poset-bias", chi_poset(build_bias(g)), chi_gaingraph_recursive(g, "bias")),
+        ("poset-cone", chi_poset(build_cone(affin)), chi_of_kind(g, "cone")),
+    ]
+    if g.group == GROUP_Z:
+        rows.append(("finite-field", chi_finite_field_oracle(g), chi_affin))
+    return [(name, str(want), str(got)) for name, got, want in rows if got != want]
 
 
 def cross_oracle_suite(
@@ -265,68 +323,29 @@ def cross_oracle_suite(
 ):
     """Recursive chi against the intersection-poset Moebius computation for
     all three arrangements, and against finite-field point counting for
-    integer gains."""
-    s = _Suite(
-        "cross-oracle",
-        seed,
-        {
-            "exhaustive_max_edges": exhaustive_max_edges,
-            "exhaustive_max_vertices": exhaustive_max_vertices,
-            "f2_4_samples": f2_4_samples,
-            "gain_bound": gain_bound,
-            "z4_samples": z4_samples,
-        },
-    )
+    integer gains.  Failing graphs are reported as found, not minimized."""
+    s = _Suite("cross-oracle", seed, _bounds(locals()))
 
-    def audit(g, with_ff, fails):
-        rows = [
-            (
-                "poset-affinographic",
-                chi_poset(build_affinographic(g)),
-                chi_gaingraph_recursive(g, "affinographic"),
-            ),
-            ("poset-bias", chi_poset(build_bias(g)), chi_gaingraph_recursive(g, "bias")),
-            (
-                "poset-cone",
-                chi_poset(build_cone(build_affinographic(g))),
-                chi_of_kind(g, "cone"),
-            ),
-        ]
-        if with_ff:
-            rows.append(
-                (
-                    "finite-field",
-                    chi_finite_field_oracle(g),
-                    chi_gaingraph_recursive(g, "affinographic"),
-                )
-            )
-        for name, got, want in rows:
-            if got != want:
-                fails.append(_fail(name, graph_summary(g), str(want), str(got)))
+    def audit(g):
+        return _failures(g, _oracle_problems(g))
 
     for l in range(1, exhaustive_max_vertices + 1):
-        fails = []
-        n = 0
-        for g in iter_z_graphs(l, exhaustive_max_edges, gain_bound):
-            n += 1
-            audit(g, True, fails)
-        s.check(f"z-exhaustive-l{l}", n, fails)
+        s.sweep(
+            f"z-exhaustive-l{l}",
+            iter_z_graphs(l, exhaustive_max_edges, gain_bound),
+            audit,
+        )
     rng = random.Random(seed)
-    fails = []
-    for _ in range(z4_samples):
-        audit(random_z_graph(rng, 4, 6, gain_bound), True, fails)
-    s.check("z-sampled-l4", z4_samples, fails)
+    s.sweep(
+        "z-sampled-l4",
+        (random_z_graph(rng, 4, 6, gain_bound) for _ in range(z4_samples)),
+        audit,
+    )
     for l in range(1, 4):
-        fails = []
-        n = 0
-        for g in iter_f2_graphs(l):
-            n += 1
-            audit(g, False, fails)
-        s.check(f"f2-exhaustive-l{l}", n, fails)
-    fails = []
-    for _ in range(f2_4_samples):
-        audit(random_f2_graph(rng, 4), False, fails)
-    s.check("f2-sampled-l4", f2_4_samples, fails)
+        s.sweep(f"f2-exhaustive-l{l}", iter_f2_graphs(l), audit)
+    s.sweep(
+        "f2-sampled-l4", (random_f2_graph(rng, 4) for _ in range(f2_4_samples)), audit
+    )
     return s.report()
 
 
@@ -334,58 +353,29 @@ def cross_oracle_suite(
 # agreement of freeness verdicts between the cone and the bias arrangement
 
 
-def _kinds_disagree(g):
+def _kind_problems(g):
     v = freeness_verdicts(g)
-    return (
-        v["if"]["cone"] != v["if"]["bias"]
-        or v["df"]["cone"] != v["df"]["bias"]
-        or any(v["if"][k] and not v["df"][k] for k in ("cone", "bias"))
-    )
+    found = [
+        (f"{d}-kind-agreement", str(v[d]["cone"]), str(v[d]["bias"]))
+        for d in ("if", "df")
+        if v[d]["cone"] != v[d]["bias"]
+    ]
+    for kind in ("cone", "bias"):
+        if v["if"][kind] and not v["df"][kind]:
+            found.append((f"if-implies-df-{kind}", "True", "False"))
+    return found
 
 
 def kind_agreement_suite(max_vertices=4, max_edges=6, gain_bound=1, seed=DEFAULT_SEED):
     """Inductive and divisional verdicts agree between the coned difference
     arrangement and the bias arrangement, and inductive implies divisional,
     instance by instance."""
-    s = _Suite(
-        "kind-agreement",
-        seed,
-        {
-            "gain_bound": gain_bound,
-            "max_edges": max_edges,
-            "max_vertices": max_vertices,
-        },
-    )
-
-    def audit(g, fails):
-        v = freeness_verdicts(g)
-        bad = []
-        if v["if"]["cone"] != v["if"]["bias"]:
-            bad.append(("if-kind-agreement", str(v["if"]["cone"]), str(v["if"]["bias"])))
-        if v["df"]["cone"] != v["df"]["bias"]:
-            bad.append(("df-kind-agreement", str(v["df"]["cone"]), str(v["df"]["bias"])))
-        for kind in ("cone", "bias"):
-            if v["if"][kind] and not v["df"][kind]:
-                bad.append((f"if-implies-df-{kind}", "True", "False"))
-        if bad:
-            small = minimize_failing_graph(g, _kinds_disagree)
-            for check, want, got in bad:
-                fails.append(_fail(check, graph_summary(small), want, got))
-
+    s = _Suite("kind-agreement", seed, _bounds(locals()))
+    audit = _minimized(_kind_problems)
     for l in range(1, max_vertices + 1):
-        fails = []
-        n = 0
-        for g in iter_z_graphs(l, max_edges, gain_bound):
-            n += 1
-            audit(g, fails)
-        s.check(f"z-exhaustive-l{l}", n, fails)
+        s.sweep(f"z-exhaustive-l{l}", iter_z_graphs(l, max_edges, gain_bound), audit)
     for l in range(1, max_vertices + 1):
-        fails = []
-        n = 0
-        for g in iter_f2_graphs(l):
-            n += 1
-            audit(g, fails)
-        s.check(f"f2-exhaustive-l{l}", n, fails)
+        s.sweep(f"f2-exhaustive-l{l}", iter_f2_graphs(l), audit)
     return s.report()
 
 
@@ -393,99 +383,68 @@ def kind_agreement_suite(max_vertices=4, max_edges=6, gain_bound=1, seed=DEFAULT
 # arrangement families: digraph criteria, exponent and chamber closed forms
 
 
+def _digraph_audit(instance):
+    l, arcs = instance
+    dg = Digraph.make(l, arcs)
+    g = digraph_to_gaingraph(dg)
+    ab = ab_free_criterion(dg)
+    got_cone = if_along_edges(g, "cone").verdict
+    got_bias = if_along_edges(g, "bias").verdict
+    inst = {"arcs": [list(a) for a in arcs], "vertices": l}
+    fails = []
+    if not ab == got_cone == got_bias:
+        got = f"cone={got_cone}, bias={got_bias}"
+        fails.append(_fail("digraph-criterion-vs-deciders", inst, str(ab), got))
+    if ab_supersolvable_criterion(dg) and not ab:
+        fails.append(_fail("supersolvable-implies-free", inst, "True", "False"))
+    return fails
+
+
 def families_suite(max_digraph_vertices=5, max_family_rank=4, seed=DEFAULT_SEED):
     """Digraph freeness criteria against the edge deciders, and the closed
     forms for the deformation families: exponents, chamber counts, and
     generalized Catalan numbers."""
-    s = _Suite(
-        "families",
-        seed,
-        {
-            "max_digraph_vertices": max_digraph_vertices,
-            "max_family_rank": max_family_rank,
-        },
+    s = _Suite("families", seed, _bounds(locals()))
+    s.sweep(
+        "digraphs-exhaustive",
+        (
+            (l, arcs)
+            for l in range(1, max_digraph_vertices + 1)
+            for arcs in iter_digraph_arc_sets(l)
+        ),
+        _digraph_audit,
     )
-    fails = []
-    n = 0
-    for l in range(1, max_digraph_vertices + 1):
-        for arcs in iter_digraph_arc_sets(l):
-            dg = Digraph.make(l, arcs)
-            g = digraph_to_gaingraph(dg)
-            ab = ab_free_criterion(dg)
-            got_cone = if_along_edges(g, "cone").verdict
-            got_bias = if_along_edges(g, "bias").verdict
-            inst = {"arcs": [list(a) for a in arcs], "vertices": l}
-            n += 1
-            if not ab == got_cone == got_bias:
-                fails.append(
-                    _fail(
-                        "digraph-criterion-vs-deciders",
-                        inst,
-                        str(ab),
-                        f"cone={got_cone}, bias={got_bias}",
-                    )
-                )
-            if ab_supersolvable_criterion(dg) and not ab:
-                fails.append(_fail("supersolvable-implies-free", inst, "True", "False"))
-    s.check("digraphs-exhaustive", n, fails)
 
-    grid = [
-        (l, m) for l in range(2, max_family_rank + 1) for m in (1, 2)
-    ]
+    grid = [(l, m) for l in range(2, max_family_rank + 1) for m in (1, 2)]
     for l, m in grid:
-        fails = []
         g = make_family("dms", l, m)
+        inst = {"l": l, "m": m}
         chi = chi_of_kind(g, "bias")
         want = IntPolynomial.from_roots([1] + [m * l + k for k in range(2, l + 1)])
-        if chi != want:
-            fails.append(
-                _fail("dms-exponents", {"l": l, "m": m}, str(want), str(chi))
-            )
-        regions = region_count(chi)
+        fails = _expect("dms-exponents", inst, want, chi)
         want_regions = math.factorial(l) * raney(l, m + 1, 2)
-        if regions != want_regions:
-            fails.append(
-                _fail(
-                    "dms-chambers", {"l": l, "m": m}, str(want_regions), str(regions)
-                )
-            )
+        fails += _expect("dms-chambers", inst, want_regions, region_count(chi))
         for decider, fn in (("if", if_along_edges), ("df", df_along_edges)):
-            cert = fn(g, "bias")
-            if not cert.verdict:
-                fails.append(
-                    _fail(f"dms-{decider}-free", {"l": l, "m": m}, "True", "False")
-                )
+            fails += _expect(f"dms-{decider}-free", inst, True, fn(g, "bias").verdict)
         s.check(f"dms-l{l}-m{m}", 4, fails)
     for l, m in grid:
-        fails = []
-        g = make_family("shi", l, m)
-        chi = chi_of_kind(g, "bias")
+        chi = chi_of_kind(make_family("shi", l, m), "bias")
         want = IntPolynomial.from_roots([1] + [m * l + 1] * (l - 1))
-        if chi != want:
-            fails.append(
-                _fail("shi-exponents", {"l": l, "m": m}, str(want), str(chi))
-            )
+        fails = _expect("shi-exponents", {"l": l, "m": m}, want, chi)
         s.check(f"shi-l{l}-m{m}", 1, fails)
     for l, m in grid:
-        fails = []
-        g = make_family("catalan", l, m)
-        regions = region_count(chi_of_kind(g, "affinographic"))
+        chi = chi_of_kind(make_family("catalan", l, m), "affinographic")
         want = math.factorial(l) * raney(l, m + 1, 1)
-        if regions != want:
-            fails.append(
-                _fail("catalan-chambers", {"l": l, "m": m}, str(want), str(regions))
-            )
+        fails = _expect("catalan-chambers", {"l": l, "m": m}, want, region_count(chi))
         s.check(f"catalan-chambers-l{l}-m{m}", 1, fails)
     fails = []
     for l in range(2, max_family_rank + 1):
         chi = chi_of_kind(make_family("coxeter", l), "affinographic")
         want = IntPolynomial.from_roots(list(range(l)))
-        if chi != want:
-            fails.append(_fail("coxeter-chi", {"l": l}, str(want), str(chi)))
+        fails += _expect("coxeter-chi", {"l": l}, want, chi)
         chi = chi_of_kind(make_family("boolean", l), "bias")
         want = IntPolynomial.from_roots([1] * l)
-        if chi != want:
-            fails.append(_fail("boolean-bias-chi", {"l": l}, str(want), str(chi)))
+        fails += _expect("boolean-bias-chi", {"l": l}, want, chi)
     s.check("base-families-chi", 2 * (max_family_rank - 1), fails)
     return s.report()
 
@@ -494,12 +453,26 @@ def families_suite(max_digraph_vertices=5, max_family_rank=4, seed=DEFAULT_SEED)
 # signed graphs: the freeness characterization and the threshold layer
 
 
-def _signed_disagrees(g):
+def _signed_problems(g):
     crit = signed_freeness_criterion(g)
-    return (
-        crit != df_along_edges(g, "bias").verdict
-        or crit != df_along_edges(g, "cone").verdict
-    )
+    got_bias = df_along_edges(g, "bias").verdict
+    got_cone = df_along_edges(g, "cone").verdict
+    if crit == got_bias == got_cone:
+        return []
+    got = f"bias={got_bias}, cone={got_cone}"
+    return [("signed-criterion-vs-deciders", str(crit), got)]
+
+
+def _threshold_audit(instance):
+    g, neg = instance
+    er = edelman_reiner_freeness(g)
+    th = is_threshold(SimpleGraph.make(g.vertices, neg))
+    got = df_along_edges(g, "bias").verdict
+    if er == th == got:
+        return []
+    inst = {"negative_edges": [list(e) for e in neg], "vertices": len(g.vertices)}
+    got = f"edelman_reiner={er}, df_bias={got}"
+    return [_fail("threshold-vs-deciders", inst, str(th), got)]
 
 
 def signed_suite(
@@ -511,89 +484,36 @@ def signed_suite(
     """The combinatorial freeness characterization for signed graphs against
     both edge deciders, pinned characteristic values, and the threshold
     characterization when the positive part is complete."""
-    s = _Suite(
-        "signed",
-        seed,
-        {
-            "exhaustive_vertices": exhaustive_vertices,
-            "random_count": random_count,
-            "threshold_max_vertices": threshold_max_vertices,
-        },
-    )
-
-    def audit(g, fails):
-        crit = signed_freeness_criterion(g)
-        got_bias = df_along_edges(g, "bias").verdict
-        got_cone = df_along_edges(g, "cone").verdict
-        if not crit == got_bias == got_cone:
-            small = minimize_failing_graph(g, _signed_disagrees)
-            fails.append(
-                _fail(
-                    "signed-criterion-vs-deciders",
-                    graph_summary(small),
-                    str(signed_freeness_criterion(small)),
-                    f"bias={df_along_edges(small, 'bias').verdict}, "
-                    f"cone={df_along_edges(small, 'cone').verdict}",
-                )
-            )
-
+    s = _Suite("signed", seed, _bounds(locals()))
+    audit = _minimized(_signed_problems)
     for l in range(1, exhaustive_vertices + 1):
-        fails = []
-        n = 0
-        for g in iter_f2_graphs(l):
-            n += 1
-            audit(g, fails)
-        s.check(f"exhaustive-l{l}", n, fails)
+        s.sweep(f"exhaustive-l{l}", iter_f2_graphs(l), audit)
     rng = random.Random(seed)
-    fails = []
-    for _ in range(random_count):
-        audit(random_f2_graph(rng, 5), fails)
-    s.check("random-l5", random_count, fails)
+    s.sweep("random-l5", (random_f2_graph(rng, 5) for _ in range(random_count)), audit)
 
-    fails = []
     tri = GainGraph(F2, (1, 2, 3), ((1, 2, 0), (1, 3, 1), (2, 3, 0)))
-    chi = chi_gaingraph_recursive(tri, "affinographic")
-    want = T * IntPolynomial((3, -3, 1))
-    if chi != want:
-        fails.append(
-            _fail("unbalanced-triangle-chi", graph_summary(tri), str(want), str(chi))
-        )
-    chi = chi_gaingraph_recursive(OBSTRUCTION_4, "affinographic")
-    want = T * IntPolynomial((-2, 1)) * IntPolynomial((10, -6, 1))
-    if chi != want:
-        fails.append(
-            _fail(
-                "obstruction-chi", graph_summary(OBSTRUCTION_4), str(want), str(chi)
-            )
-        )
+    fails = _expect(
+        "unbalanced-triangle-chi",
+        graph_summary(tri),
+        T * IntPolynomial((3, -3, 1)),
+        chi_gaingraph_recursive(tri, "affinographic"),
+    )
+    fails += _expect(
+        "obstruction-chi",
+        graph_summary(OBSTRUCTION_4),
+        T * IntPolynomial((-2, 1)) * IntPolynomial((10, -6, 1)),
+        chi_gaingraph_recursive(OBSTRUCTION_4, "affinographic"),
+    )
     for l in range(1, 6):
         g = GainGraph(F2, tuple(range(1, l + 1)), ())
         chi = chi_gaingraph_recursive(g, "bias")
         want = IntPolynomial.from_roots([1] * l)
-        if chi != want:
-            fails.append(
-                _fail("edgeless-bias-chi", graph_summary(g), str(want), str(chi))
-            )
+        fails += _expect("edgeless-bias-chi", graph_summary(g), want, chi)
     s.check("pinned-characteristic-values", 7, fails)
 
     for l in range(1, threshold_max_vertices + 1):
-        fails = []
-        n = 0
-        for g, neg in complete_positive_graphs(l):
-            n += 1
-            er = edelman_reiner_freeness(g)
-            th = is_threshold(SimpleGraph.make(range(1, l + 1), neg))
-            got = df_along_edges(g, "bias").verdict
-            if not er == th == got:
-                fails.append(
-                    _fail(
-                        "threshold-vs-deciders",
-                        {"negative_edges": [list(e) for e in neg], "vertices": l},
-                        str(th),
-                        f"edelman_reiner={er}, df_bias={got}",
-                    )
-                )
-        s.check(f"complete-positive-l{l}", n, fails)
+        graphs = complete_positive_graphs(l)
+        s.sweep(f"complete-positive-l{l}", graphs, _threshold_audit)
     return s.report()
 
 
@@ -601,15 +521,96 @@ def signed_suite(
 # rank-2 multiarrangements and rank-3 freeness fixtures
 
 
-def _lowdim_compare(multi, which, inst, verify, fails):
-    want = exp2_closed_form(multi, which)
+def _exponents_audit(which, verify_stride):
+    """Audit of numbered (multiarrangement, instance) pairs: the solved
+    exponents against the closed form, verifying every verify_stride-th
+    solution's certificate."""
+
+    def audit(numbered):
+        n, (multi, inst) = numbered
+        want = exp2_closed_form(multi, which)
+        try:
+            got = exp2_solver(multi, verify=n % verify_stride == 0)
+        except VerificationError as exc:
+            return [_fail(f"{which}-saito", inst, str(want), str(exc))]
+        return _expect(f"{which}-exponents", inst, want, got)
+
+    return audit
+
+
+def _qq_rows(normals):
+    return [tuple(map(Fraction, n)) for n in normals]
+
+
+def _qq_central(normals):
+    """The central arrangement over Q with the given integer normals."""
+    hps = [make_hyperplane(QQ, n, Fraction(0)) for n in _qq_rows(normals)]
+    return make_arrangement(QQ, len(normals[0]), hps)
+
+
+def _three_lines(total):
+    lines = _qq_rows(((1, 0), (0, 1), (1, -1)))
+    for m1 in range(1, total - 1):
+        for m2 in range(1, m1 + 1):
+            for m3 in range(1, min(m2, total - m1 - m2) + 1):
+                for perm in sorted(set(itertools.permutations((m1, m2, m3)))):
+                    multi = make_multiarrangement2d(QQ, list(zip(lines, perm)))
+                    yield multi, {"multiplicities": list(perm)}
+
+
+def _mult_multisets(k, total):
+    """Non-increasing k-tuples of positive integers summing to total."""
+
+    def rec(rem, parts, cap):
+        if len(parts) == k:
+            if rem == 0:
+                yield tuple(parts)
+            return
+        hi = min(cap, rem - (k - len(parts) - 1))
+        for v in range(hi, 0, -1):
+            yield from rec(rem - v, parts + [v], v)
+
+    yield from rec(total, [], total)
+
+
+def _many_lines(max_lines):
+    for k in range(2, max_lines + 1):
+        lines = _qq_rows([(1, 0), (0, 1)] + [(1, -c) for c in range(1, k - 1)])
+        for total in range(k, 2 * k - 1):
+            for mults in _mult_multisets(k, total):
+                multi = make_multiarrangement2d(QQ, list(zip(lines, mults)))
+                yield multi, {"lines": k, "multiplicities": list(mults)}
+
+
+def _q_powers(total, gain_bound):
+    D = QQ_Q
+    for u in range(0, 2 * gain_bound + 2):
+        for gains in itertools.combinations(range(-gain_bound, gain_bound + 1), u):
+            for t_ in range(min(u, total) + 1):
+                for s_ in range(min(t_, total - t_ - u) + 1):
+                    pairs = [((D.one, D.zero), s_ + 1), ((D.zero, D.one), t_ + 1)]
+                    pairs += [((D.one, D.neg(D.q_power(g))), 1) for g in gains]
+                    multi = make_multiarrangement2d(D, pairs)
+                    yield multi, {"gains": list(gains), "s": s_, "t": t_}
+
+
+def _schur_audit(instance):
+    partition, gains = instance
     try:
-        got = exp2_solver(multi, verify=verify)
+        schur_bialternant_check(partition, gains)
     except VerificationError as exc:
-        fails.append(_fail(f"{which}-saito", inst, str(want), str(exc)))
-        return
-    if got != want:
-        fails.append(_fail(f"{which}-exponents", inst, str(want), str(got)))
+        inst = {"gains": list(gains), "partition": list(partition)}
+        want = "alternant = schur * vandermonde"
+        return [_fail("schur-bialternant", inst, want, str(exc))]
+    return []
+
+
+def _free3(check, fixture, want, arr, h):
+    """No failure when arr is free along h with exponents want."""
+    free, payload = yoshinaga_free3(arr, h)
+    if free and payload == want:
+        return []
+    return [_fail(check, {"fixture": fixture}, str(want), str(payload))]
 
 
 def lowdim_suite(
@@ -623,162 +624,38 @@ def lowdim_suite(
     """Solved rank-2 multiarrangement exponents against every closed form,
     with periodic certificate verification, plus the determinant identity
     for alternants and the rank-3 freeness fixtures."""
-    s = _Suite(
-        "lowdim",
-        seed,
-        {
-            "many_lines_max": many_lines_max,
-            "q_gain_bound": q_gain_bound,
-            "q_powers_total": q_powers_total,
-            "three_lines_total": three_lines_total,
-            "verify_stride": verify_stride,
-        },
+    s = _Suite("lowdim", seed, _bounds(locals()))
+    for name, which, grid in (
+        ("three-lines-grid", "three_lines", _three_lines(three_lines_total)),
+        ("many-lines-grid", "many_lines", _many_lines(many_lines_max)),
+        ("q-powers-grid", "q_powers", _q_powers(q_powers_total, q_gain_bound)),
+    ):
+        s.sweep(name, enumerate(grid, 1), _exponents_audit(which, verify_stride))
+
+    s.sweep(
+        "schur-bialternant",
+        (
+            (partition, gains)
+            for partition in ((), (1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2, 1))
+            for gains in ((0, 1), (0, 1, 2), (-1, 1, 2), (0, 1, 2, 3))
+            if len(gains) >= len(partition)
+        ),
+        _schur_audit,
     )
-    F = Fraction
-    lines3 = ((F(1), F(0)), (F(0), F(1)), (F(1), F(-1)))
-    fails = []
-    n = 0
-    for m1 in range(1, three_lines_total - 1):
-        for m2 in range(1, m1 + 1):
-            for m3 in range(1, m2 + 1):
-                if m1 + m2 + m3 > three_lines_total:
-                    continue
-                for perm in sorted(set(itertools.permutations((m1, m2, m3)))):
-                    multi = make_multiarrangement2d(QQ, list(zip(lines3, perm)))
-                    n += 1
-                    _lowdim_compare(
-                        multi,
-                        "three_lines",
-                        {"multiplicities": list(perm)},
-                        n % verify_stride == 0,
-                        fails,
-                    )
-    s.check("three-lines-grid", n, fails)
 
-    def slopes(k):
-        out = [(F(1), F(0)), (F(0), F(1))]
-        c = 1
-        while len(out) < k:
-            out.append((F(1), F(-c)))
-            c += 1
-        return out[:k]
-
-    def mult_multisets(k, total):
-        def rec(rem, parts, cap):
-            if len(parts) == k:
-                if rem == 0:
-                    yield tuple(parts)
-                return
-            hi = min(cap, rem - (k - len(parts) - 1))
-            for v in range(hi, 0, -1):
-                yield from rec(rem - v, parts + [v], v)
-
-        yield from rec(total, [], total)
-
-    fails = []
-    n = 0
-    for k in range(2, many_lines_max + 1):
-        for total in range(k, 2 * k - 1):
-            for mults in mult_multisets(k, total):
-                multi = make_multiarrangement2d(QQ, list(zip(slopes(k), mults)))
-                n += 1
-                _lowdim_compare(
-                    multi,
-                    "many_lines",
-                    {"lines": k, "multiplicities": list(mults)},
-                    n % verify_stride == 0,
-                    fails,
-                )
-    s.check("many-lines-grid", n, fails)
-
-    D = QQ_Q
-    fails = []
-    n = 0
-    for u in range(0, 2 * q_gain_bound + 2):
-        for gains in itertools.combinations(range(-q_gain_bound, q_gain_bound + 1), u):
-            for t_ in range(0, q_powers_total + 1):
-                for s_ in range(0, t_ + 1):
-                    if not s_ <= t_ <= u or s_ + t_ + u > q_powers_total:
-                        continue
-                    pairs = [((D.one, D.zero), s_ + 1), ((D.zero, D.one), t_ + 1)]
-                    pairs += [((D.one, D.neg(D.q_power(g))), 1) for g in gains]
-                    multi = make_multiarrangement2d(D, pairs)
-                    n += 1
-                    _lowdim_compare(
-                        multi,
-                        "q_powers",
-                        {"gains": list(gains), "s": s_, "t": t_},
-                        n % verify_stride == 0,
-                        fails,
-                    )
-    s.check("q-powers-grid", n, fails)
-
-    fails = []
-    n = 0
-    for partition in ((), (1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2, 1)):
-        for gains in ((0, 1), (0, 1, 2), (-1, 1, 2), (0, 1, 2, 3)):
-            if len(gains) < len(partition):
-                continue
-            n += 1
-            try:
-                schur_bialternant_check(partition, gains)
-            except VerificationError as exc:
-                fails.append(
-                    _fail(
-                        "schur-bialternant",
-                        {"gains": list(gains), "partition": list(partition)},
-                        "alternant = schur * vandermonde",
-                        str(exc),
-                    )
-                )
-    s.check("schur-bialternant", n, fails)
-
-    fails = []
-    F0 = Fraction(0)
-    bool3 = make_arrangement(
-        QQ,
-        3,
-        [
-            make_hyperplane(QQ, (F(1), F(0), F(0)), F0),
-            make_hyperplane(QQ, (F(0), F(1), F(0)), F0),
-            make_hyperplane(QQ, (F(0), F(0), F(1)), F0),
-        ],
+    boolean3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    bool3 = _qq_central(boolean3)
+    fails = _free3("rank3-boolean", "boolean3", (1, 1, 1), bool3, bool3.hyperplanes[0])
+    b3 = _qq_central(
+        boolean3 + ((1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1))
     )
-    free, payload = yoshinaga_free3(bool3, bool3.hyperplanes[0])
-    if not free or payload != (1, 1, 1):
-        fails.append(_fail("rank3-boolean", {"fixture": "boolean3"}, "(1, 1, 1)", str(payload)))
-    b3_hps = [
-        make_hyperplane(QQ, tuple(F(1) if k == i else F(0) for k in range(3)), F0)
-        for i in range(3)
-    ]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for sign in (F(1), F(-1)):
-                c = [F(0)] * 3
-                c[i] = F(1)
-                c[j] = sign
-                b3_hps.append(make_hyperplane(QQ, tuple(c), F0))
-    b3 = make_arrangement(QQ, 3, b3_hps)
     for h in b3.hyperplanes:
-        free, payload = yoshinaga_free3(b3, h)
-        if not free or payload != (1, 3, 5):
-            fails.append(
-                _fail("rank3-type-b", {"fixture": "b3"}, "(1, 3, 5)", str(payload))
-            )
-    gen = make_arrangement(
-        QQ,
-        3,
-        [
-            make_hyperplane(QQ, (F(1), F(0), F(0)), F0),
-            make_hyperplane(QQ, (F(0), F(1), F(0)), F0),
-            make_hyperplane(QQ, (F(0), F(0), F(1)), F0),
-            make_hyperplane(QQ, (F(1), F(1), F(1)), F0),
-            make_hyperplane(QQ, (F(1), F(2), F(3)), F0),
-        ],
-    )
-    free, why = yoshinaga_free3(gen, gen.hyperplanes[0])
+        fails += _free3("rank3-type-b", "b3", (1, 3, 5), b3, h)
+    gen = _qq_central(boolean3 + ((1, 1, 1), (1, 2, 3)))
+    free, _ = yoshinaga_free3(gen, gen.hyperplanes[0])
     if free:
-        fails.append(_fail("rank3-generic", {"fixture": "generic5"}, "not free", "free"))
+        inst = {"fixture": "generic5"}
+        fails.append(_fail("rank3-generic", inst, "not free", "free"))
     s.check("rank3-fixtures", 2 + len(b3.hyperplanes), fails)
     return s.report()
 
@@ -791,39 +668,25 @@ def coincidence_suite(gain_bound=2, max_per_pair=3, seed=DEFAULT_SEED):
     """Freeness of the coned difference arrangement coincides with freeness
     of the bias arrangement for every three-vertex instance, with the
     exponent shift holding whenever both are free."""
-    s = _Suite(
-        "coincidence",
-        seed,
-        {"gain_bound": gain_bound, "max_per_pair": max_per_pair},
-    )
-    fails = []
-    n = 0
+    s = _Suite("coincidence", seed, _bounds(locals()))
     free = 0
-    for g in three_vertex_instances(gain_bound, max_per_pair):
-        n += 1
+
+    def audit(g):
+        nonlocal free
         res = coincidence_3dim(g)
         if res.free_cone != res.free_bias:
-            fails.append(
-                _fail(
-                    "verdict-coincidence",
-                    graph_summary(g),
-                    "equal verdicts",
-                    f"cone={res.free_cone}, bias={res.free_bias}",
-                )
-            )
-            continue
-        if res.free_cone:
-            free += 1
-            if not exponent_shift_matches(res):
-                fails.append(
-                    _fail(
-                        "exponent-shift",
-                        graph_summary(g),
-                        f"bias exponents from cone {res.detail_cone}",
-                        str(res.detail_bias),
-                    )
-                )
-    s.check("three-vertex-instances", n, fails)
+            got = f"cone={res.free_cone}, bias={res.free_bias}"
+            return _failures(g, [("verdict-coincidence", "equal verdicts", got)])
+        if not res.free_cone:
+            return []
+        free += 1
+        if exponent_shift_matches(res):
+            return []
+        want = f"bias exponents from cone {res.detail_cone}"
+        return _failures(g, [("exponent-shift", want, str(res.detail_bias))])
+
+    graphs = three_vertex_instances(gain_bound, max_per_pair)
+    s.sweep("three-vertex-instances", graphs, audit)
     s.check("free-instances", free, [])
     return s.report()
 

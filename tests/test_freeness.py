@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gainarr import charpoly, freeness
-from gainarr.errors import SearchBudgetExceeded, VerificationError
+from gainarr.errors import GraphError, SearchBudgetExceeded, VerificationError
 from gainarr.freeness import (
     clear_caches,
     df_along_edges,
@@ -147,6 +147,17 @@ def test_no_certificates_do_not_replay():
     cert = if_along_edges(path_digraph_graph(), "cone")
     with pytest.raises(VerificationError):
         replay_certificate(cert, path_digraph_graph())
+
+
+@pytest.mark.parametrize(
+    "kind", ["cone-affinographic", "affinographic-cone", "affinographic"]
+)
+@pytest.mark.parametrize("decide", [if_along_edges, df_along_edges])
+def test_unknown_kind_is_rejected(decide, kind):
+    # the deciders take exactly the kinds in KINDS; the affinographic
+    # arrangement is not central, so only its cone is decided
+    with pytest.raises(GraphError, match="unknown arrangement kind"):
+        decide(braid(3), kind)
 
 
 def test_node_cap_enforced():
