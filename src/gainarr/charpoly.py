@@ -29,7 +29,7 @@ from math import lcm
 from .errors import ArrangementError, BoundExceeded, GraphError, VerificationError
 from .gaingraph import GROUP_Z, GainGraph, contract_edge
 from .intpoly import IntPolynomial, T_MINUS_1
-from .scalars import SpanTracker, integer_image, is_prime
+from .scalars import SpanTracker, integer_image, is_prime, pmul
 
 DEFAULT_MAX_HYPERPLANES = 24
 
@@ -301,15 +301,12 @@ def _interpolate(xs, ys):
     """
     nums, dens = [], []
     for i, xi in enumerate(xs):
-        num = [1]
+        num = (1,)
         den = 1
         for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = [0] + num
-            for k in range(len(num) - 1):
-                num[k] -= num[k + 1] * xj
-            den *= xi - xj
+            if j != i:
+                num = pmul(num, (-xj, 1))
+                den *= xi - xj
         nums.append(num)
         dens.append(den)
     L = lcm(*dens)

@@ -16,8 +16,7 @@ import argparse
 import json
 import sys
 
-from .arrangement import build_affinographic, build_bias, build_cone
-from .charpoly import chi_gaingraph_recursive, chi_of_kind, chi_poset
+from .charpoly import DEFAULT_MAX_HYPERPLANES, chi_of_kind
 from .errors import BoundExceeded, GainArrError, ParseError, VerificationError
 from .families import FAMILY_KINDS, make_family
 from .freeness import (
@@ -29,19 +28,14 @@ from .freeness import (
 from .gaingraph import GROUP_Z
 from .graphio import parse_graph, serialize_graph
 from .lowdim import coincidence_3dim, exponent_shift_matches
-from .scalars import MAX_CYCLOTOMIC_DEGREE
 from .signed import (
     has_induced_unbalanced_cycle,
     has_switching_obstruction,
     is_balanced_chordal,
     signed_freeness_criterion,
 )
-from .verify import DEFAULT_SEED, SUITES, run_suite
+from .verify import DEFAULT_SEED, SUITES, _identity_holds, _poset_problems, run_suite
 from .version import __version__
-
-
-def poly_json(p):
-    return {"coeffs": list(p.coeffs), "factored": p.factored_str(), "str": str(p)}
 
 
 def _flatten(doc, prefix, rows):
@@ -87,30 +81,22 @@ def _load_graph(cfg):
 
 def cmd_chi(cfg):
     g = _load_graph(cfg)
-    chi_a = chi_gaingraph_recursive(g, "affinographic")
-    chi_b = chi_gaingraph_recursive(g, "bias")
-    chi_c = chi_of_kind(g, "cone")
-    lemma = chi_a == chi_b.shift(1)
-    n_bias = len(g.vertices) + len(g.edges)
-    cap = cfg.max_hyperplanes
-    # Q(zeta_p) above MAX_CYCLOTOMIC_DEGREE is refused, so large p skip
-    # the poset check just as large arrangements do
-    bias_fits = g.group == GROUP_Z or g.group[1] - 1 <= MAX_CYCLOTOMIC_DEGREE
-    poset_check = None
-    if n_bias <= cap and bias_fits:
-        poset_check = (
-            chi_poset(build_affinographic(g), cap) == chi_a
-            and chi_poset(build_bias(g), cap) == chi_b
-            and chi_poset(build_cone(build_affinographic(g)), cap) == chi_c
-        )
+    chi_a, chi_b, chi_c = (chi_of_kind(g, k) for k in ("affinographic", "bias", "cone"))
+    lemma = _identity_holds(chi_a, chi_b)
+    # an arrangement over the hyperplane cap, or a bias arrangement over a
+    # refused cyclotomic field, skips the poset check
+    try:
+        poset_check = not _poset_problems(g, cfg.max_hyperplanes)
+    except BoundExceeded:
+        poset_check = None
     _print_doc(
         cfg,
         _envelope(
             cfg,
             {
-                "chiA": poly_json(chi_a),
-                "chiB": poly_json(chi_b),
-                "chiConeA": poly_json(chi_c),
+                "chiA": chi_a.to_json(),
+                "chiB": chi_b.to_json(),
+                "chiConeA": chi_c.to_json(),
                 "lemmaCheck": lemma,
                 "posetCheck": poset_check,
             },
@@ -137,19 +123,19 @@ def _signed_payload(g):
 
 
 def _free3_payload(g):
+    # coincidence_3dim raises when the verdicts disagree
     res = coincidence_3dim(g)
-    agree = res.free_cone == res.free_bias
-    shift = exponent_shift_matches(res) if res.free_cone and res.free_bias else None
+    shift = exponent_shift_matches(res) if res.free_cone else None
+    detail_cone, detail_bias = (
+        list(d) if isinstance(d, tuple) else d
+        for d in (res.detail_cone, res.detail_bias)
+    )
     return {
-        "agree": agree and shift is not False,
-        "chiA": poly_json(res.chi_affin),
-        "chiB": poly_json(res.chi_bias),
-        "detailBias": list(res.detail_bias)
-        if isinstance(res.detail_bias, tuple)
-        else res.detail_bias,
-        "detailCone": list(res.detail_cone)
-        if isinstance(res.detail_cone, tuple)
-        else res.detail_cone,
+        "agree": shift is not False,
+        "chiA": res.chi_affin.to_json(),
+        "chiB": res.chi_bias.to_json(),
+        "detailBias": detail_bias,
+        "detailCone": detail_cone,
         "exponentShift": shift,
         "freeA": res.free_cone,
         "freeB": res.free_bias,
@@ -234,7 +220,9 @@ def build_parser():
         if needs_graph:
             sp.add_argument("path", help="gain graph file in the text format")
             sp.add_argument("--max-vertices", type=_positive, default=8)
-            sp.add_argument("--max-hyperplanes", type=_positive, default=24)
+            sp.add_argument(
+                "--max-hyperplanes", type=_positive, default=DEFAULT_MAX_HYPERPLANES
+            )
             sp.add_argument("--node-cap", type=_positive, default=DEFAULT_NODE_CAP)
 
     sp = sub.add_parser("chi", help="characteristic polynomials and the shift identity")

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .gaingraph import GROUP_Z, GainGraph, group_f
-
-F2 = group_f(2)
+from .gaingraph import F2, GROUP_Z, GainGraph
 
 PAIR_STATES_F2 = ((), (0,), (1,), (0, 1))
 

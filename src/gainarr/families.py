@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import BoundExceeded, GraphError
-from .gaingraph import GROUP_Z, GainGraph, group_f
+from .gaingraph import F2, GROUP_Z, GainGraph
 
 FAMILY_KINDS = ("coxeter", "boolean", "catalan", "shi", "dms")
 
@@ -27,7 +27,7 @@ MAX_FAMILY_EDGE_CLASSES = 100_000
 # complete 3-vertex graph carrying both gains over the two-element group;
 # a free arrangement fixture (only freeness is asserted of it)
 EDELMAN_REINER_3 = GainGraph._make((
-    group_f(2),
+    F2,
     (1, 2, 3),
     tuple((i, j, g) for i in (1, 2) for j in range(i + 1, 4) for g in (0, 1)),
 ))

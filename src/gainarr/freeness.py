@@ -270,11 +270,7 @@ class FreenessCertificate(
             "decider": self.decider,
             "kind": self.kind,
             "verdict": self.verdict,
-            "chi": {
-                "coeffs": list(self.chi.coeffs),
-                "str": str(self.chi),
-                "factored": self.chi.factored_str(),
-            },
+            "chi": self.chi.to_json(),
             "exponents": list(self.exponents) if self.exponents else None,
             "steps": [
                 {
@@ -291,6 +287,10 @@ class FreenessCertificate(
         }
 
 
+def _edge_failures_json(failures):
+    return [{"edge": list(e), "code": c} for e, c in failures]
+
+
 def _refutation_json(ref):
     if ref is None:
         return None
@@ -301,18 +301,14 @@ def _refutation_json(ref):
         out["subset"] = list(ref["subset"])
         out["subgraph_chi"] = str(ref["subgraph_chi"])
     if "edge_failures" in ref:
-        out["edge_failures"] = [
-            {"edge": list(e), "code": c} for e, c in ref["edge_failures"]
-        ]
+        out["edge_failures"] = _edge_failures_json(ref["edge_failures"])
     if "search_tree" in ref:
         out["search_tree"] = [
             {
                 "vertices": list(n["vertices"]),
                 "edges": [list(e) for e in n["edges"]],
                 "chi": n["chi"],
-                "edge_failures": [
-                    {"edge": list(e), "code": c} for e, c in n["edge_failures"]
-                ],
+                "edge_failures": _edge_failures_json(n["edge_failures"]),
                 "reason": n["reason"],
             }
             for n in ref["search_tree"]

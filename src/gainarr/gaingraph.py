@@ -17,6 +17,7 @@ from collections import namedtuple
 from .errors import BoundExceeded, GraphError
 
 GROUP_Z = "Z"
+F2 = ("F", 2)
 
 
 def group_f(p):
@@ -129,7 +130,7 @@ def contract_edge(graph, edge):
 
 def switch_vertex(graph, v):
     """Flip the sign of every edge at v.  Gain group must be F_2."""
-    if graph.group != ("F", 2):
+    if graph.group != F2:
         raise GraphError("switching is defined for F_2 gains only")
     if v not in graph.vertices:
         raise GraphError(f"vertex {v} not present")

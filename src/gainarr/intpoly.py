@@ -65,10 +65,6 @@ class IntPolynomial:
     def is_zero(self):
         return not self.coeffs
 
-    @property
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __eq__(self, other):
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 
@@ -160,6 +156,11 @@ class IntPolynomial:
             base = "t" if r == 0 else f"(t - {r})"
             parts.append(base if m == 1 else f"{base}^{m}")
         return "".join(parts) if parts else "1"
+
+    def to_json(self):
+        """The JSON form: coefficients, product form and string."""
+        coeffs, factored = list(self.coeffs), self.factored_str()
+        return {"coeffs": coeffs, "factored": factored, "str": str(self)}
 
     def __str__(self):
         return _poly_str(self.coeffs, "t")

@@ -30,7 +30,12 @@ from .arrangement import (
     make_hyperplane,
     ziegler_restriction,
 )
-from .charpoly import DEFAULT_MAX_HYPERPLANES, chi_gaingraph_recursive, chi_poset
+from .charpoly import (
+    DEFAULT_MAX_HYPERPLANES,
+    chi_cone,
+    chi_gaingraph_recursive,
+    chi_poset,
+)
 from .errors import ArrangementError, BoundExceeded, GraphError, VerificationError
 from .gaingraph import GROUP_Z
 from .intpoly import IntPolynomial, T_MINUS_1
@@ -175,30 +180,27 @@ def _defining_product(multi):
     poly = [D.one]  # coefficients of x^i y^(deg - i), ascending i
     for (a, b), m in zip(multi.lines, multi.mults):
         for _ in range(m):
-            # multiply by (a x + b y)
-            new = [D.zero] * (len(poly) + 1)
-            for i, c in enumerate(poly):
-                new[i + 1] = D.add(new[i + 1], D.mul(c, a))
-                new[i] = D.add(new[i], D.mul(c, b))
-            poly = new
+            poly = _hommul(D, poly, (b, a))  # times a x + b y
     return poly
+
+
+def _hommul(D, p, q):
+    """Product of two binary forms given as coefficients of x^i y^(deg - i),
+    ascending i."""
+    out = [D.zero] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        if not D.is_zero(x):
+            for j, y in enumerate(q):
+                out[i + j] = D.add(out[i + j], D.mul(x, y))
+    return out
 
 
 def _pair_determinant(D, theta1, d1, theta2, d2):
     """Coefficients of P1(1) P2(2) - P2(1) P1(2), degree d1 + d2."""
-
-    def hommul(p, q):
-        out = [D.zero] * (len(p) + len(q) - 1)
-        for i, x in enumerate(p):
-            if not D.is_zero(x):
-                for j, y in enumerate(q):
-                    out[i + j] = D.add(out[i + j], D.mul(x, y))
-        return out
-
     p1a, p2a = theta1[: d1 + 1], theta1[d1 + 1 :]
     p1b, p2b = theta2[: d2 + 1], theta2[d2 + 1 :]
-    left = hommul(p1a, p2b)
-    right = hommul(p2a, p1b)
+    left = _hommul(D, p1a, p2b)
+    right = _hommul(D, p2a, p1b)
     return [D.sub(x, y) for x, y in zip(left, right)]
 
 
@@ -421,9 +423,11 @@ class CoincidenceResult(
 def coincidence_3dim(graph):
     """Run cone-side and bias-side rank-3 freeness on a 3-vertex Z graph.
 
-    The two verdicts must agree; disagreement raises VerificationError.
-    The cone side essentializes first and treats rank < 3 (disconnected
-    underlying graph) as free with exponents read off chi.
+    The two verdicts must agree; a disagreement raises VerificationError,
+    which coincidence_suite records as a verdict-coincidence failure.  Each
+    side restricts to a member its builder always adds: z = 0 for the cone,
+    x3 = 0 for the bias side.  The cone side essentializes first and treats
+    rank < 3 (disconnected underlying graph) as free, exponents read off chi.
     """
     if graph.group != GROUP_Z or graph.n_vertices != 3:
         raise GraphError("coincidence check is for 3-vertex integer gain graphs")
@@ -432,19 +436,14 @@ def coincidence_3dim(graph):
 
     cone = build_cone(build_affinographic(graph))
     Dc = cone.domain
-    z_hp = next(
-        hp
-        for hp in cone.hyperplanes
-        if all(Dc.is_zero(c) for c in hp.coeffs[:-1])
-        and Dc.eq(hp.coeffs[-1], Dc.one)
-    )
+    z_hp = make_hyperplane(Dc, (Dc.zero,) * 3 + (Dc.one,), Dc.zero)
     ess, mapping = essentialize_with_map(cone)
-    chi_cone = T_MINUS_1 * chi_a
+    chi_c = chi_cone(graph)
     # divide out t^(codim drop) going to the essential chi
     drop = cone.dim - ess.dim
-    coeffs = chi_cone.coeffs
+    coeffs = chi_c.coeffs
     if any(coeffs[:drop]):
-        raise VerificationError(f"cone chi {chi_cone} is not divisible by t^{drop}")
+        raise VerificationError(f"cone chi {chi_c} is not divisible by t^{drop}")
     chi_ess = IntPolynomial(coeffs[drop:])
     if ess.dim < 3:
         # rank <= 2 central arrangements are always free
@@ -459,14 +458,7 @@ def coincidence_3dim(graph):
 
     bias = build_bias(graph)
     D = bias.domain
-    # coordinate hyperplane x3
-    x3 = next(
-        hp
-        for hp in bias.hyperplanes
-        if D.is_zero(hp.coeffs[0])
-        and D.is_zero(hp.coeffs[1])
-        and D.eq(hp.coeffs[2], D.one)
-    )
+    x3 = make_hyperplane(D, (D.zero, D.zero, D.one), D.zero)
     free_b, detail_b = yoshinaga_free3(bias, x3, chi=chi_b)
 
     if free_a != free_b:
@@ -480,8 +472,7 @@ def coincidence_3dim(graph):
 def exponent_shift_matches(result: CoincidenceResult):
     """Cor-style shift: cone exponents (0, 1, d2, d3) pair with bias
     exponents (1, d2 + 1, d3 + 1).  Only meaningful on free instances."""
-    chi_cone = T_MINUS_1 * result.chi_affin
-    cone_roots = chi_cone.integer_roots()
+    cone_roots = (T_MINUS_1 * result.chi_affin).integer_roots()
     bias_roots = result.chi_bias.integer_roots()
     if cone_roots is None or bias_roots is None:
         return False

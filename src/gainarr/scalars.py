@@ -12,7 +12,9 @@ and Q(q) to Z with every rank kept, and pivot_columns, rank_of_rows and
 the intersection poset eliminate there.
 
 Dense univariate polynomials over Z are represented as tuples of ints in
-ascending degree with no trailing zeros; the zero polynomial is ().
+ascending degree with no trailing zeros; the zero polynomial is ().  The
+ring operations of these kernels also serve CyclotomicField on its
+Fraction coefficient lists.
 """
 
 from __future__ import annotations
@@ -467,6 +469,7 @@ class RationalFunctions:
 # a Q(zeta_p) payload is p - 1 Fractions and a product costs (p - 1)^2 of
 # them, so larger degrees are refused before any payload is built
 MAX_CYCLOTOMIC_DEGREE = 100
+_ZERO = Fraction(0)
 
 
 class CyclotomicField:
@@ -518,20 +521,15 @@ class CyclotomicField:
 
     def mul(self, a, b):
         n = self.p - 1
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
+        prod = list(pmul(a, b))
         # reduce z^k for k >= n using z^n = -(1 + ... + z^(n-1))
         for k in range(2 * n - 2, n - 1, -1):
             c = prod[k]
             if c:
-                prod[k] = Fraction(0)
                 for i in range(n):
                     prod[k - n + i] -= c
-        return tuple(prod[:n])
+        # pmul leaves the slots it never touched as int 0
+        return tuple(x or _ZERO for x in prod[:n])
 
     def inv(self, a):
         if all(x == 0 for x in a):
@@ -549,28 +547,7 @@ class CyclotomicField:
                 inv += [Fraction(0)] * (self.p - 1 - len(inv))
                 return tuple(inv[: self.p - 1])
             q, rem = self._qdivmod(r0, r1)
-            s_new = self._qsub(s0, self._qmul(q, s1))
-            r0, s0, r1, s1 = r1, s1, rem, s_new
-
-    @staticmethod
-    def _qmul(a, b):
-        if not a or not b:
-            return []
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return out
-
-    @staticmethod
-    def _qsub(a, b):
-        out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-        for i, y in enumerate(b):
-            out[i] -= y
-        while out and out[-1] == 0:
-            out.pop()
-        return out
+            r0, s0, r1, s1 = r1, s1, rem, psub(s0, pmul(q, s1))
 
     @staticmethod
     def _qdivmod(a, b):

@@ -22,13 +22,12 @@ from collections import namedtuple
 
 from .errors import BoundExceeded, GraphError, VerificationError
 from .gaingraph import (
+    F2,
     GainGraph,
     _gain_along,
     enumerate_cycles,
     induced_subgraph,
 )
-
-F2 = ("F", 2)
 
 # 4-vertex obstruction: pairs {1,2} and {3,4} doubled, {1,3} negative only,
 # the remaining pairs positive only

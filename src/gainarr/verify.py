@@ -30,6 +30,7 @@ from .arrangement import (
     make_hyperplane,
 )
 from .charpoly import (
+    DEFAULT_MAX_HYPERPLANES,
     chi_finite_field_oracle,
     chi_gaingraph_recursive,
     chi_of_kind,
@@ -56,7 +57,7 @@ from .families import (
     raney,
 )
 from .freeness import df_along_edges, freeness_verdicts, if_along_edges
-from .gaingraph import GROUP_Z, GainGraph, contract_edge, delete_edge, group_f
+from .gaingraph import F2, GROUP_Z, GainGraph, contract_edge, delete_edge
 from .intpoly import IntPolynomial, T
 from .lowdim import (
     coincidence_3dim,
@@ -78,8 +79,6 @@ from .signed import (
 from .version import __version__
 
 DEFAULT_SEED = 20260816
-
-F2 = group_f(2)
 
 
 def group_label(group):
@@ -200,13 +199,14 @@ def _identity_problems(g):
     return [("shift-identity", str(b.shift(1)), str(a))]
 
 
-def _identity_failure(g):
-    """The minimized shift-identity failure for g, recorded even when only
-    an incrementally computed chi of g was wrong and the library's holds."""
-    bad = minimize_failing_graph(g, _identity_problems)
-    a = chi_gaingraph_recursive(bad, "affinographic")
-    b = chi_gaingraph_recursive(bad, "bias")
-    return _fail("shift-identity", graph_summary(bad), str(b.shift(1)), str(a))
+def _identity_failure(g, chi_a, chi_b):
+    """The failures to record when the incrementally computed chi_a and
+    chi_b of g break the shift identity: the minimized library failure when
+    the library chi of g fails too, else g itself with the incremental
+    chi_b(t + 1) expected and the incremental chi_a obtained."""
+    return _minimized(_identity_problems)(g) or [
+        _fail("shift-identity", graph_summary(g), str(chi_b.shift(1)), str(chi_a))
+    ]
 
 
 def _identity_scan(l, max_edges, gain_bound):
@@ -259,18 +259,18 @@ def chi_identity_suite(
         cross_fails = []
 
         def audit(node):
-            n, (g, chi_a, chi_b) = node
-            fails = [] if _identity_holds(chi_a, chi_b) else [_identity_failure(g)]
+            n, (g, a, b) = node
+            fails = [] if _identity_holds(a, b) else _identity_failure(g, a, b)
             if cross_stride and n % cross_stride == 0:
                 ra = chi_gaingraph_recursive(g, "affinographic")
                 rb = chi_gaingraph_recursive(g, "bias")
-                if ra != chi_a or rb != chi_b:
+                if ra != a or rb != b:
                     cross_fails.append(
                         _fail(
                             "incremental-vs-recursive",
                             graph_summary(g),
                             f"{ra}; {rb}",
-                            f"{chi_a}; {chi_b}",
+                            f"{a}; {b}",
                         )
                     )
             return fails
@@ -298,19 +298,30 @@ def chi_identity_suite(
 # independent oracles for the characteristic polynomial
 
 
-def _oracle_problems(g):
-    """Recursive chi against the poset for all three arrangements, and
-    against finite-field point counting for integer gains."""
+def _poset_problems(g, max_hyperplanes=DEFAULT_MAX_HYPERPLANES):
+    """Recursive chi against the poset for all three arrangements; raises
+    BoundExceeded when one is over max_hyperplanes or its domain is refused.
+    The bias arrangement has the most members, so its poset comes first and
+    a graph over the cap costs no poset."""
     affin = build_affinographic(g)
-    chi_affin = chi_gaingraph_recursive(g, "affinographic")
-    rows = [
-        ("poset-affinographic", chi_poset(affin), chi_affin),
-        ("poset-bias", chi_poset(build_bias(g)), chi_gaingraph_recursive(g, "bias")),
-        ("poset-cone", chi_poset(build_cone(affin)), chi_of_kind(g, "cone")),
+    arrs = {"bias": build_bias(g), "affinographic": affin, "cone": build_cone(affin)}
+    got = {kind: chi_poset(arr, max_hyperplanes) for kind, arr in arrs.items()}
+    want = {kind: chi_of_kind(g, kind) for kind in ("affinographic", "bias", "cone")}
+    return [
+        (f"poset-{kind}", str(chi), str(got[kind]))
+        for kind, chi in want.items()
+        if got[kind] != chi
     ]
+
+
+def _oracle_problems(g):
+    """The poset rows, and the finite-field row for integer gains."""
+    found = _poset_problems(g)
     if g.group == GROUP_Z:
-        rows.append(("finite-field", chi_finite_field_oracle(g), chi_affin))
-    return [(name, str(want), str(got)) for name, got, want in rows if got != want]
+        want, got = chi_of_kind(g, "affinographic"), chi_finite_field_oracle(g)
+        if got != want:
+            found.append(("finite-field", str(want), str(got)))
+    return found
 
 
 def cross_oracle_suite(
@@ -667,16 +678,17 @@ def lowdim_suite(
 def coincidence_suite(gain_bound=2, max_per_pair=3, seed=DEFAULT_SEED):
     """Freeness of the coned difference arrangement coincides with freeness
     of the bias arrangement for every three-vertex instance, with the
-    exponent shift holding whenever both are free."""
+    exponent shift holding whenever both are free.  A disagreement, raised
+    by coincidence_3dim, is a verdict-coincidence failure with its text."""
     s = _Suite("coincidence", seed, _bounds(locals()))
     free = 0
 
     def audit(g):
         nonlocal free
-        res = coincidence_3dim(g)
-        if res.free_cone != res.free_bias:
-            got = f"cone={res.free_cone}, bias={res.free_bias}"
-            return _failures(g, [("verdict-coincidence", "equal verdicts", got)])
+        try:
+            res = coincidence_3dim(g)
+        except VerificationError as exc:
+            return _failures(g, [("verdict-coincidence", "equal verdicts", str(exc))])
         if not res.free_cone:
             return []
         free += 1

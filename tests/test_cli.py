@@ -6,6 +6,8 @@ import pytest
 
 from gainarr import verify
 from gainarr.cli import main
+from gainarr.intpoly import ONE
+from gainarr.scalars import QQ_Q, CyclotomicField
 
 
 def write_graph(tmp_path, text, name="g.txt"):
@@ -98,6 +100,28 @@ def test_chi_poset_check_runs_at_the_cyclotomic_degree_bound(tmp_path, capsys):
     code, doc = run_json(capsys, ["chi", path])
     assert code == 0
     assert doc["posetCheck"] is True
+
+
+def test_one_poset_check_serves_chi_and_cross_oracle(tmp_path, capsys, monkeypatch):
+    real = verify.chi_poset
+
+    def wrong_on_bias(arr, *args):
+        chi = real(arr, *args)
+        bias = arr.domain is QQ_Q or isinstance(arr.domain, CyclotomicField)
+        return chi + ONE if bias else chi
+
+    monkeypatch.setattr(verify, "chi_poset", wrong_on_bias)
+    path = write_graph(tmp_path, "group Z\nvertices 2\nedge 1 2 0\n")
+    code, doc = run_json(capsys, ["chi", path])
+    assert code == 1
+    assert doc["posetCheck"] is False
+    assert doc["lemmaCheck"] is True
+    report = verify.cross_oracle_suite(
+        exhaustive_max_vertices=2, exhaustive_max_edges=1, gain_bound=1,
+        z4_samples=0, f2_4_samples=0,
+    )
+    assert report["failures"]
+    assert {f["check"] for f in report["failures"]} == {"poset-bias"}
 
 
 def test_free_if_edges_negative_verdict(tmp_path, capsys):

@@ -4,7 +4,9 @@ import inspect
 
 import pytest
 
-from gainarr import verify
+from gainarr import lowdim, verify
+from gainarr.intpoly import ONE
+from gainarr.scalars import QQ_Q
 
 
 class Stopped(Exception):
@@ -72,3 +74,41 @@ def test_rank3_fixtures_need_the_free_verdict(monkeypatch):
     checks = {f["check"] for f in report["failures"]}
     assert checks == {"rank3-boolean", "rank3-type-b"}
     assert len(report["failures"]) == 1 + 9
+
+
+def test_coincidence_disagreement_is_reported_not_raised(monkeypatch):
+    real = lowdim.yoshinaga_free3
+
+    def bias_never_free(arr, h, **kwargs):
+        free, payload = real(arr, h, **kwargs)
+        if free and arr.domain is QQ_Q:
+            return False, "stubbed: not free"
+        return free, payload
+
+    monkeypatch.setattr(lowdim, "yoshinaga_free3", bias_never_free)
+    report = verify.coincidence_suite(gain_bound=1, max_per_pair=2)
+    assert report["passed"] is False
+    assert report["failures"]
+    for fail in report["failures"]:
+        assert fail["check"] == "verdict-coincidence"
+        assert fail["instance"]["vertices"] == 3
+        assert "disagree" in fail["got"]
+
+
+def test_incremental_only_identity_failure_carries_the_incremental_chi(monkeypatch):
+    real = verify.chi_gaingraph_recursive
+
+    def wrong_bias(g, kind):
+        chi = real(g, kind)
+        if kind == "bias" and g.n_vertices == 2 and len(g.edges) >= 2:
+            return chi + ONE
+        return chi
+
+    # 3-vertex graphs keep their library chi but inherit wrong incremental
+    # values from their 2-vertex contractions
+    monkeypatch.setattr(verify, "chi_gaingraph_recursive", wrong_bias)
+    report = verify.chi_identity_suite(3, 3, 1, cross_stride=5, random_count=2)
+    fails = [f for f in report["failures"] if f["check"] == "shift-identity"]
+    assert any(f["instance"]["vertices"] == 3 for f in fails)
+    for fail in fails:
+        assert fail["expected"] != fail["got"]
