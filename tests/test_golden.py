@@ -125,6 +125,14 @@ GRAPHS = {
     "cycle4": "group F 2\nvertices 4\nedge 1 2 0\nedge 1 4 1\nedge 2 3 0\n"
     "edge 3 4 0\n",
     "f3": "group F 3\nvertices 3\nedge 1 2 1\nedge 1 3 2\nedge 2 3 0\n",
+    # chi splits, yet no edge admits a decider: a "no admissible edge"
+    # refutation with a search tree
+    "no-edge": "group Z\nvertices 4\nedge 1 2 1\nedge 2 3 -2\nedge 2 4 2\n"
+    "edge 3 4 -2\nedge 3 4 -1\nedge 3 4 0\nedge 3 4 2\n",
+    # an induced subgraph's chi does not split: a "forbidden substructure"
+    # refutation
+    "forbidden-f3": "group F 3\nvertices 4\nedge 1 2 0\nedge 1 2 1\nedge 1 3 0\n"
+    "edge 1 3 1\nedge 1 4 1\nedge 2 3 0\nedge 2 3 1\nedge 2 3 2\nedge 2 4 2\n",
 }
 
 CLI_CASES = {
@@ -139,6 +147,10 @@ CLI_CASES = {
     "free-df-bias-z4": ["free", "z4", "--mode", "df-edges", "--kind", "bias"],
     "free-if-bias-shi3": ["free", "shi3", "--mode", "if-edges", "--kind", "bias"],
     "free-df-cone-z3": ["free", "z3", "--mode", "df-edges", "--kind", "cone"],
+    "free-if-cone-no-edge": ["free", "no-edge", "--mode", "if-edges", "--kind", "cone"],
+    "free-df-bias-forbidden-f3": [
+        "free", "forbidden-f3", "--mode", "df-edges", "--kind", "bias"
+    ],
     "signed-check-cycle4": ["signed-check", "cycle4"],
     "free3-shi3": ["free3", "shi3"],
     "free3-z3": ["free3", "z3"],
@@ -156,6 +168,10 @@ CLI_DIGESTS = {
     "free-df-bias-z4": "3d95431c5dc25e2f0099aa648b39d587103a0e0d9550ab67575028ad01ca8cac",
     "free-if-bias-shi3": "e1e07a944c2f7c9de85c926f8883dceeed943e853faa51615a487071efe0c5e4",
     "free-df-cone-z3": "08254aebd61e5b665a7ee2ac390c0822663ded5607b4e10980db2e30a07cf611",
+    "free-if-cone-no-edge":
+        "c51524d14ca3c2fd1c529db6ecea041a96be7a2bf0d2859b26b5e065e2185811",
+    "free-df-bias-forbidden-f3":
+        "940dc5eff3d76a19a0e2be357085bf0e38e42872c19a3c5d62cdca1b4c2f340d",
     "signed-check-cycle4": "006f66a60c74f34ae658d50e47f0024c8ee43d809d4bc6753f76acadb67ed2bc",
     "free3-shi3": "71b2df655d4e14701988027ecf81f70e8954ef54cd408c90be0c856f62214b14",
     "free3-z3": "65f5865e6394302d4e391e7af0aeae7c3bd59ef33c1326424a69e4e1395d1544",
