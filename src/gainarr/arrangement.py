@@ -19,7 +19,7 @@ from collections import Counter, namedtuple
 
 from .errors import ArrangementError
 from .gaingraph import GROUP_Z
-from .scalars import GF, QQ, QQ_Q, SpanTracker, cyclotomic, pivot_columns
+from .scalars import GF, QQ, QQ_Q, cyclotomic, pivot_columns
 
 
 class Hyperplane(namedtuple("Hyperplane", "coeffs const")):
@@ -189,23 +189,6 @@ def ziegler_restriction(arr, h):
     restricted = make_arrangement(arr.domain, arr.dim - 1, counts.keys())
     mult = Multiplicity(tuple(counts[h2] for h2 in restricted.hyperplanes))
     return restricted, mult
-
-
-def localization(arr, hyperplanes):
-    """Members of arr containing the flat cut out by the given hyperplanes.
-
-    The given hyperplanes must have nonempty intersection.
-    """
-    D = arr.domain
-    tracker = SpanTracker(D, arr.dim + 1)
-    for h in hyperplanes:
-        row = h.augmented_row()
-        res = tracker.reduce(row)
-        if all(D.is_zero(x) for x in res[:-1]) and not D.is_zero(res[-1]):
-            raise ArrangementError("localization flat is empty")
-        tracker.add(row)
-    kept = [h for h in arr.hyperplanes if tracker.contains(h.augmented_row())]
-    return make_arrangement(D, arr.dim, kept)
 
 
 def essentialize(arr):

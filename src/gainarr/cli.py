@@ -22,6 +22,7 @@ from .families import FAMILY_KINDS, make_family
 from .freeness import (
     DEFAULT_NODE_CAP,
     df_along_edges,
+    freeness_verdicts,
     if_along_edges,
     replay_certificate,
 )
@@ -107,8 +108,8 @@ def cmd_chi(cfg):
 
 def _signed_payload(g):
     crit = signed_freeness_criterion(g)
-    df_bias = df_along_edges(g, "bias").verdict
-    df_cone = df_along_edges(g, "cone").verdict
+    v = freeness_verdicts(g)["df"]
+    df_bias, df_cone = v["bias"], v["cone"]
     return {
         "agree": crit == df_bias == df_cone,
         "balancedChordal": is_balanced_chordal(g),

@@ -24,8 +24,13 @@ and divisional verdicts), and the deletion and contraction of each edge
 are built at most once per node, on first use, for all four searches.
 chi comes from charpoly's memo, which holds both kinds of a graph in one
 entry.  Records are memoized per graph across calls; a node cap bounds
-how many fresh subgraphs one top-level call may analyze.  Memoized roots
+how many fresh subgraphs one top-level call may analyze, and how many
+subgraphs its certificate walk may list, memoized or not.  Memoized roots
 are tuples; callers receive lists of their own.
+
+Each decider's local edge rule is stated once, in _local_failure, which
+both the search and replay_certificate apply; one walk, _walk, collects
+a yes-certificate's steps and a no-certificate's search tree.
 
 Memo values are hash-consed: chi and roots come from memos that hold one
 object per distinct value, and each per-kind record and each record pair
@@ -164,8 +169,8 @@ def _analyze(graph, budget):
             if sub is not None:
                 inductive = divisional = (False, None, FORBIDDEN_SUBSTRUCTURE)
             else:
-                inductive = _search_if(edges, branch, i, budget)
-                divisional = _search_df(edges, branch, i, chi, budget)
+                inductive = _search("inductive", edges, branch, i, chi, budget)
+                divisional = _search("divisional", edges, branch, i, chi, budget)
         nodes.append(_intern(_KindNode(chi, roots, sub, inductive, divisional)))
     rec = _ANALYSIS[graph] = _intern(tuple(nodes))
     return rec
@@ -202,45 +207,44 @@ def _branches(graph, e):
     return deleted, contract_edge(graph, e)
 
 
-def _search_if(edges, branch, i, budget):
-    kind = KINDS[i]
+def _local_failure(decider, kind, deleted, contracted, chi):
+    """The first local condition of the decider that an edge fails, or None.
+
+    inductive: both branch chi split and the contraction's exponents are
+    contained in the deletion's; divisional: the contraction's chi divides
+    chi.  The search and the replay both apply this rule.
+    """
+    if decider != "inductive":
+        return None if chi_of_kind(contracted, kind).divides(chi) else CHI_NON_DIVISION
+    roots_del = _roots_of(chi_of_kind(deleted, kind))
+    if roots_del is None:
+        return DEL_CHI_NON_SPLIT
+    roots_con = _roots_of(chi_of_kind(contracted, kind))
+    if roots_con is None:
+        return CON_CHI_NON_SPLIT
+    if not _included(roots_con, roots_del):
+        return EXP_NON_INCLUSION
+    return None
+
+
+def _search(decider, edges, branch, i, chi, budget):
+    """(verdict, pivot, per-edge failures) of the decider at one node.
+
+    An edge qualifies when it passes the local rule and its contraction,
+    and for the inductive decider also its deletion, qualify in turn.
+    """
     fails = []
     for k, e in enumerate(edges):
         deleted, contracted = branch(k)
-        roots_del = _roots_of(chi_of_kind(deleted, kind))
-        if roots_del is None:
-            fails.append((e, DEL_CHI_NON_SPLIT))
-            continue
-        roots_con = _roots_of(chi_of_kind(contracted, kind))
-        if roots_con is None:
-            fails.append((e, CON_CHI_NON_SPLIT))
-            continue
-        if not _included(roots_con, roots_del):
-            fails.append((e, EXP_NON_INCLUSION))
-            continue
-        if not _analyze(contracted, budget)[i].inductive[0]:
-            fails.append((e, CON_NOT_FREE))
-            continue
-        if not _analyze(deleted, budget)[i].inductive[0]:
-            fails.append((e, DEL_NOT_FREE))
-            continue
-        return (True, e, None)
-    return (False, None, tuple(fails))
-
-
-def _search_df(edges, branch, i, chi, budget):
-    kind = KINDS[i]
-    fails = []
-    for k, e in enumerate(edges):
-        _, contracted = branch(k)
-        chi_con = chi_of_kind(contracted, kind)
-        if not chi_con.divides(chi):
-            fails.append((e, CHI_NON_DIVISION))
-            continue
-        if not _analyze(contracted, budget)[i].divisional[0]:
-            fails.append((e, CON_NOT_FREE))
-            continue
-        return (True, e, None)
+        code = _local_failure(decider, KINDS[i], deleted, contracted, chi)
+        if code is None and not getattr(_analyze(contracted, budget)[i], decider)[0]:
+            code = CON_NOT_FREE
+        if code is None and decider == "inductive":
+            if not _analyze(deleted, budget)[i].inductive[0]:
+                code = DEL_NOT_FREE
+        if code is None:
+            return (True, e, None)
+        fails.append((e, code))
     return (False, None, tuple(fails))
 
 
@@ -258,96 +262,32 @@ class FreenessCertificate(
     """Replayable record of one decider run.
 
     For a yes verdict, steps lists every subgraph of the successful
-    derivation once, in depth-first preorder, each with its pivot edge and
-    branch keys.  For a no verdict, refutation carries the reason and the
-    explored search tree.
+    derivation once, in depth-first preorder, each with its pivot edge.
+    For a no verdict, refutation carries the reason and, when no edge is
+    admissible, the explored search tree.  Steps and refutation hold
+    their printed form: chi as a string, edge failures as {"edge", "code"}
+    dicts.
     """
 
     __slots__ = ()
 
     def to_json(self):
-        return {
-            "decider": self.decider,
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "chi": self.chi.to_json(),
-            "exponents": list(self.exponents) if self.exponents else None,
-            "steps": [
-                {
-                    "vertices": list(s["vertices"]),
-                    "edges": [list(e) for e in s["edges"]],
-                    "pivot": list(s["pivot"]) if s["pivot"] else None,
-                    "chi": s["chi"],
-                    "exponents": list(s["exponents"]),
-                }
-                for s in self.steps
-            ],
-            "refutation": _refutation_json(self.refutation),
-            "nodes_explored": self.nodes_explored,
-        }
+        doc = self._asdict()
+        del doc["graph_key"]
+        doc["chi"] = self.chi.to_json()
+        doc["exponents"] = self.exponents or None
+        return doc
 
 
-def _edge_failures_json(failures):
-    return [{"edge": list(e), "code": c} for e, c in failures]
+def _walk(graph, decider, i, verdict, budget, node_cap):
+    """The certificate's subgraphs, depth first from graph, each once.
 
-
-def _refutation_json(ref):
-    if ref is None:
-        return None
-    out = {"reason": ref["reason"]}
-    if "chi" in ref:
-        out["chi"] = str(ref["chi"])
-    if "subset" in ref:
-        out["subset"] = list(ref["subset"])
-        out["subgraph_chi"] = str(ref["subgraph_chi"])
-    if "edge_failures" in ref:
-        out["edge_failures"] = _edge_failures_json(ref["edge_failures"])
-    if "search_tree" in ref:
-        out["search_tree"] = [
-            {
-                "vertices": list(n["vertices"]),
-                "edges": [list(e) for e in n["edges"]],
-                "chi": n["chi"],
-                "edge_failures": _edge_failures_json(n["edge_failures"]),
-                "reason": n["reason"],
-            }
-            for n in ref["search_tree"]
-        ]
-    return out
-
-
-def _collect_witness(graph, decider, kind, budget):
-    steps = []
-    seen = set()
-    stack = [graph]
-    while stack:
-        g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        node = _analyze(g, budget)[KINDS.index(kind)]
-        verdict, pivot, _ = getattr(node, decider)
-        if not verdict:
-            raise VerificationError("witness walk reached a refuted subgraph")
-        steps.append(
-            {
-                "vertices": g.vertices,
-                "edges": g.edges,
-                "pivot": pivot,
-                "chi": str(node.chi),
-                "exponents": list(node.roots),
-            }
-        )
-        if pivot is not None:
-            deleted, contracted = _branches(g, pivot)
-            if decider == "inductive":
-                stack.append(deleted)
-            stack.append(contracted)
-    return tuple(steps)
-
-
-def _collect_failure_tree(graph, decider, kind, budget, node_cap):
-    nodes = []
+    A yes verdict follows each pivot to its deletion (inductive only) and
+    its contraction; a no verdict follows the failures that name a
+    branch, and stops at branches that qualify.  At most node_cap
+    subgraphs are listed.
+    """
+    out = []
     seen = set()
     stack = [graph]
     while stack:
@@ -357,65 +297,63 @@ def _collect_failure_tree(graph, decider, kind, budget, node_cap):
         seen.add(g)
         if len(seen) > node_cap:
             raise SearchBudgetExceeded(
-                f"failure certificate exceeds the node cap of {node_cap}"
+                f"freeness certificate exceeds the node cap of {node_cap}"
             )
-        node = _analyze(g, budget)[KINDS.index(kind)]
-        verdict, _, detail = getattr(node, decider)
-        if verdict:
+        node = _analyze(g, budget)[i]
+        ok, pivot, detail = getattr(node, decider)
+        if ok != verdict:
+            if verdict:
+                raise VerificationError("witness walk reached a refuted subgraph")
             continue
-        entry = {
-            "vertices": g.vertices,
-            "edges": g.edges,
-            "chi": str(node.chi),
-            "edge_failures": (),
-            "reason": detail if isinstance(detail, str) else NO_ADMISSIBLE_EDGE,
-        }
-        if not isinstance(detail, str):
-            entry["edge_failures"] = detail
-            for e, code in detail:
-                deleted, contracted = _branches(g, e)
-                if code in (CON_NOT_FREE,):
-                    stack.append(contracted)
-                elif code in (DEL_NOT_FREE,):
+        entry = {"vertices": g.vertices, "edges": g.edges, "chi": str(node.chi)}
+        if verdict:
+            entry.update(pivot=pivot, exponents=list(node.roots))
+            if pivot is not None:
+                deleted, contracted = _branches(g, pivot)
+                if decider == "inductive":
                     stack.append(deleted)
-        nodes.append(entry)
-    return tuple(nodes)
+                stack.append(contracted)
+        else:
+            fails = () if isinstance(detail, str) else detail
+            entry.update(
+                edge_failures=[{"edge": e, "code": c} for e, c in fails],
+                reason=NO_ADMISSIBLE_EDGE if fails else detail,
+            )
+            for e, code in fails:
+                if code in (CON_NOT_FREE, DEL_NOT_FREE):
+                    # _branches gives (deletion, contraction)
+                    stack.append(_branches(g, e)[code == CON_NOT_FREE])
+        out.append(entry)
+    return tuple(out)
 
 
 def _certify(graph, decider, kind, node_cap):
-    kind = normalize_kind(kind)
+    i = KINDS.index(normalize_kind(kind))
     budget = _Budget(node_cap)
-    node = _analyze(graph, budget)[KINDS.index(kind)]
-    chi = node.chi
+    node = _analyze(graph, budget)[i]
     verdict, _, detail = getattr(node, decider)
     steps = ()
-    refutation = None
-    if verdict:
-        steps = _collect_witness(graph, decider, kind, budget)
+    if detail == NON_INTEGER_ROOTS:
+        refutation = {"reason": detail, "chi": str(node.chi)}
+    elif detail == FORBIDDEN_SUBSTRUCTURE:
+        subset, chi_sub = node.sub
+        refutation = {"reason": detail, "subset": subset, "subgraph_chi": str(chi_sub)}
     else:
-        if detail == NON_INTEGER_ROOTS:
-            refutation = {"reason": NON_INTEGER_ROOTS, "chi": chi}
-        elif detail == FORBIDDEN_SUBSTRUCTURE:
-            subset, chi_sub = node.sub
-            refutation = {
-                "reason": FORBIDDEN_SUBSTRUCTURE,
-                "subset": subset,
-                "subgraph_chi": chi_sub,
-            }
+        walk = _walk(graph, decider, i, verdict, budget, node_cap)
+        if verdict:
+            steps, refutation = walk, None
         else:
             refutation = {
                 "reason": NO_ADMISSIBLE_EDGE,
-                "edge_failures": detail,
-                "search_tree": _collect_failure_tree(
-                    graph, decider, kind, budget, node_cap
-                ),
+                "edge_failures": walk[0]["edge_failures"],
+                "search_tree": walk,
             }
     return FreenessCertificate(
         decider=decider,
         kind=kind,
         graph_key=tuple(graph),
         verdict=verdict,
-        chi=chi,
+        chi=node.chi,
         exponents=_fresh(node.roots),
         steps=steps,
         refutation=refutation,
@@ -485,19 +423,12 @@ def replay_certificate(cert, graph):
         if tuple(pivot) not in g.edges:
             raise VerificationError(f"pivot {pivot} not an edge of {tuple(g)}")
         deleted, contracted = _branches(g, tuple(pivot))
-        chi_con = chi_of_kind(contracted, kind)
-        if cert.decider == "inductive":
-            roots_del = chi_of_kind(deleted, kind).integer_roots()
-            roots_con = chi_con.integer_roots()
-            if roots_del is None or roots_con is None:
-                raise VerificationError("branch chi does not split")
-            if not _included(roots_con, roots_del):
-                raise VerificationError("exponent inclusion fails on replay")
-            if deleted not in steps or contracted not in steps:
-                raise VerificationError("branch missing from certificate")
-        else:
-            if not chi_con.divides(chi):
-                raise VerificationError("divisibility fails on replay")
-            if contracted not in steps:
-                raise VerificationError("branch missing from certificate")
+        code = _local_failure(cert.decider, kind, deleted, contracted, chi)
+        if code is not None:
+            raise VerificationError(
+                f"pivot {pivot} of {tuple(g)} fails on replay: {code}"
+            )
+        needed = (deleted, contracted) if cert.decider == "inductive" else (contracted,)
+        if any(b not in steps for b in needed):
+            raise VerificationError("branch missing from certificate")
     return True

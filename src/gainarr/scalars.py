@@ -9,7 +9,10 @@ the domain object, which is a stateless singleton per field.  The ring Z
 (int payloads) carries only what the fraction-free SpanTracker, which
 never divides, asks of a domain: integer_image maps rows over Q, Q(zeta_2)
 and Q(q) to Z with every rank kept, and pivot_columns, rank_of_rows and
-the intersection poset eliminate there.
+the intersection poset eliminate there.  No production path runs a
+SpanTracker over Q(q); that tracker, kept small by
+RationalFunctions.row_primitive, is the exact reference path that the
+integer_image tests check against.
 
 Dense univariate polynomials over Z are represented as tuples of ints in
 ascending degree with no trailing zeros; the zero polynomial is ().  The

@@ -56,7 +56,7 @@ from .families import (
     make_family,
     raney,
 )
-from .freeness import df_along_edges, freeness_verdicts, if_along_edges
+from .freeness import freeness_verdicts
 from .gaingraph import F2, GROUP_Z, GainGraph, contract_edge, delete_edge
 from .intpoly import IntPolynomial, T
 from .lowdim import (
@@ -399,8 +399,8 @@ def _digraph_audit(instance):
     dg = Digraph.make(l, arcs)
     g = digraph_to_gaingraph(dg)
     ab = ab_free_criterion(dg)
-    got_cone = if_along_edges(g, "cone").verdict
-    got_bias = if_along_edges(g, "bias").verdict
+    v = freeness_verdicts(g)["if"]
+    got_cone, got_bias = v["cone"], v["bias"]
     inst = {"arcs": [list(a) for a in arcs], "vertices": l}
     fails = []
     if not ab == got_cone == got_bias:
@@ -435,8 +435,9 @@ def families_suite(max_digraph_vertices=5, max_family_rank=4, seed=DEFAULT_SEED)
         fails = _expect("dms-exponents", inst, want, chi)
         want_regions = math.factorial(l) * raney(l, m + 1, 2)
         fails += _expect("dms-chambers", inst, want_regions, region_count(chi))
-        for decider, fn in (("if", if_along_edges), ("df", df_along_edges)):
-            fails += _expect(f"dms-{decider}-free", inst, True, fn(g, "bias").verdict)
+        v = freeness_verdicts(g)
+        for decider in ("if", "df"):
+            fails += _expect(f"dms-{decider}-free", inst, True, v[decider]["bias"])
         s.check(f"dms-l{l}-m{m}", 4, fails)
     for l, m in grid:
         chi = chi_of_kind(make_family("shi", l, m), "bias")
@@ -466,8 +467,8 @@ def families_suite(max_digraph_vertices=5, max_family_rank=4, seed=DEFAULT_SEED)
 
 def _signed_problems(g):
     crit = signed_freeness_criterion(g)
-    got_bias = df_along_edges(g, "bias").verdict
-    got_cone = df_along_edges(g, "cone").verdict
+    v = freeness_verdicts(g)["df"]
+    got_bias, got_cone = v["bias"], v["cone"]
     if crit == got_bias == got_cone:
         return []
     got = f"bias={got_bias}, cone={got_cone}"
@@ -478,7 +479,7 @@ def _threshold_audit(instance):
     g, neg = instance
     er = edelman_reiner_freeness(g)
     th = is_threshold(SimpleGraph.make(g.vertices, neg))
-    got = df_along_edges(g, "bias").verdict
+    got = freeness_verdicts(g)["df"]["bias"]
     if er == th == got:
         return []
     inst = {"negative_edges": [list(e) for e in neg], "vertices": len(g.vertices)}

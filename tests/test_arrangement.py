@@ -10,7 +10,6 @@ from gainarr.arrangement import (
     build_cone,
     essentialize,
     essentialize_with_map,
-    localization,
     make_arrangement,
     make_hyperplane,
     restriction,
@@ -130,25 +129,3 @@ def test_essentialize_with_map_tracks_hyperplanes():
     ess, mapping = essentialize_with_map(arr)
     assert set(mapping.keys()) == set(arr.hyperplanes)
     assert set(mapping.values()) == set(ess.hyperplanes)
-
-
-def test_localization():
-    # braid(3): any two members meet along the full triple intersection,
-    # so localizing there keeps all three hyperplanes
-    arr = build_affinographic(braid(3))
-    sub = localization(arr, arr.hyperplanes[:2])
-    assert len(sub.hyperplanes) == 3
-    assert sub.dim == arr.dim
-    # parallel classes drop out of a localization at one of them
-    g = GainGraph(GROUP_Z, (1, 2, 3), [(1, 2, 0), (1, 2, 1), (1, 3, 0)])
-    arr = build_affinographic(g)
-    for hp in arr.hyperplanes:
-        sub = localization(arr, [hp])
-        assert len(sub.hyperplanes) == 1
-
-
-def test_localization_rejects_empty_flat():
-    g = GainGraph(GROUP_Z, (1, 2), [(1, 2, 0), (1, 2, 1)])
-    arr = build_affinographic(g)
-    with pytest.raises(ArrangementError):
-        localization(arr, arr.hyperplanes)

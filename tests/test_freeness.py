@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from gainarr import charpoly, freeness
 from gainarr.errors import GraphError, SearchBudgetExceeded, VerificationError
 from gainarr.freeness import (
+    CHI_NON_DIVISION,
+    DEL_CHI_NON_SPLIT,
     clear_caches,
     df_along_edges,
     freeness_verdicts,
@@ -33,6 +35,12 @@ FORBIDDEN_SUB_GRAPH = GainGraph(
     (1, 2, 3, 4),
     [(1, 2, 0), (1, 2, 1), (1, 3, 0), (1, 3, 1), (1, 4, 1), (2, 3, 0), (2, 3, 1),
      (2, 3, 2), (2, 4, 2)],
+)
+
+# the Shi arrangement of rank 3: free, with edges that fail each decider's
+# local rule at the root
+SHI_3 = GainGraph(
+    GROUP_Z, (1, 2, 3), [(i, j, g) for i, j in ((1, 2), (1, 3), (2, 3)) for g in (0, 1)]
 )
 
 
@@ -143,6 +151,22 @@ def test_tampered_certificate_fails_replay(g, decide, kind, how, data):
         replay_certificate(forged, g)
 
 
+@pytest.mark.parametrize(
+    "decide, code",
+    [(if_along_edges, DEL_CHI_NON_SPLIT), (df_along_edges, CHI_NON_DIVISION)],
+)
+def test_replay_rejects_a_pivot_that_breaks_the_local_rule(decide, code):
+    # edge (1, 2, 0) of SHI_3 fails the decider's local rule at the root, so
+    # a root step pivoting on it fails replay under that code
+    cert = decide(SHI_3, "cone")
+    assert replay_certificate(cert, SHI_3)
+    root = cert.steps[0]
+    assert root["pivot"] != (1, 2, 0)
+    forged = cert._replace(steps=(dict(root, pivot=(1, 2, 0)),) + cert.steps[1:])
+    with pytest.raises(VerificationError, match=code):
+        replay_certificate(forged, SHI_3)
+
+
 def test_no_certificates_do_not_replay():
     cert = if_along_edges(path_digraph_graph(), "cone")
     with pytest.raises(VerificationError):
@@ -164,6 +188,15 @@ def test_node_cap_enforced():
     g = braid(4)
     with pytest.raises(SearchBudgetExceeded):
         if_along_edges(g, "cone", node_cap=2)
+
+
+def test_node_cap_bounds_a_warm_certificate():
+    # with every subgraph memoized the search analyzes nothing, yet the
+    # certificate walk still may not list more subgraphs than the cap
+    clear_caches()
+    freeness_verdicts(braid(4))
+    with pytest.raises(SearchBudgetExceeded):
+        if_along_edges(braid(4), "cone", node_cap=2)
 
 
 def test_certificate_json_serializable():
@@ -267,9 +300,10 @@ def answers(g):
     v = freeness_verdicts(g)
     del v["nodes"]
     certs = []
-    for decide in (if_along_edges, df_along_edges):
+    for decider, decide in (("if", if_along_edges), ("df", df_along_edges)):
         for kind in ("cone", "bias"):
             doc = decide(g, kind).to_json()
+            assert doc["verdict"] == v[decider][kind]
             del doc["nodes_explored"]
             certs.append(doc)
     return v, certs
