@@ -26,7 +26,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import lcm
 
-from .errors import ArrangementError, BoundExceeded, GraphError, VerificationError
+from .errors import BoundExceeded, GraphError, VerificationError
 from .gaingraph import GROUP_Z, GainGraph, contract_edge
 from .intpoly import IntPolynomial, T_MINUS_1
 from .scalars import SpanTracker, integer_image, is_prime, pmul
@@ -362,13 +362,8 @@ def chi_finite_field_oracle(graph, n_control=2, max_vertices=5):
     return poly
 
 
-def region_count(arr_or_chi, max_hyperplanes=DEFAULT_MAX_HYPERPLANES):
-    """Number of chambers of a real arrangement: (-1)^l chi(-1)."""
-    chi = arr_or_chi
-    if not isinstance(chi, IntPolynomial):
-        if chi.domain.char != 0:
-            raise ArrangementError("region count needs a real arrangement")
-        chi = chi_poset(chi, max_hyperplanes)
+def region_count(chi):
+    """Number of chambers of a real arrangement from its chi: (-1)^l chi(-1)."""
     val = (-1) ** chi.degree * chi(-1)
     if val <= 0:
         raise VerificationError(f"nonpositive region count {val}")

@@ -106,9 +106,9 @@ def cmd_chi(cfg):
     return 0 if lemma and poset_check is not False else 1
 
 
-def _signed_payload(g):
+def _signed_payload(g, node_cap):
     crit = signed_freeness_criterion(g)
-    v = freeness_verdicts(g)["df"]
+    v = freeness_verdicts(g, node_cap)["df"]
     df_bias, df_cone = v["bias"], v["cone"]
     return {
         "agree": crit == df_bias == df_cone,
@@ -175,7 +175,7 @@ def cmd_signed_check(cfg):
         print("gainarr: signed-check needs gains in the two-element group",
               file=sys.stderr)
         return 2
-    return _print_verdict(cfg, _signed_payload(g))
+    return _print_verdict(cfg, _signed_payload(g, cfg.node_cap))
 
 
 def cmd_free3(cfg):

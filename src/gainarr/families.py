@@ -5,7 +5,8 @@ arrangement (or whose bias arrangement, for the dms family) is the named
 one: braid, Boolean, extended Catalan, extended Shi.  A digraph with
 ascending arcs encodes the graphs "complete zero layer plus some gain-one
 edges"; for those, freeness and supersolvability of the arrangement reduce
-to two finite induced-subdigraph conditions.
+to finite digraph conditions.  ab_free_criterion (Athanasiadis 1998)
+checks each ordered pair of arcs for the two forbidden induced shapes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations, permutations
 
 from .errors import BoundExceeded, GraphError
 from .gaingraph import F2, GROUP_Z, GainGraph
@@ -121,34 +123,19 @@ def digraph_to_gaingraph(dg):
 def ab_free_criterion(dg):
     """No induced two-arc directed path and no induced pair of disjoint arcs.
 
-    Induced means the subset's arc set is exactly the stated shape: a
-    transitive triangle does not count as a path, and two arcs meeting a
-    common vertex never count as disjoint.
+    Induced means the subset's arc set is exactly the stated shape.  Over
+    ordered pairs of arcs (a, b), (c, d): b == c with (a, d) absent is an
+    induced path a -> b -> d (a transitive triangle is not), and four
+    distinct endpoints with no other arc among them are induced disjoint
+    arcs.
     """
-    arcset = set(dg.arcs)
-    for a, b in dg.arcs:
-        for c, d in dg.arcs:
-            if (a, b) >= (c, d):
-                continue
-            shared = {a, b} & {c, d}
-            if len(shared) == 1:
-                # candidate path a->b->c or interleavings; induced on the
-                # union of the two arcs, so only the third pair can spoil it
-                (v,) = shared
-                outer = sorted(({a, b} | {c, d}) - {v})
-                if b == c or d == a:
-                    # head of one is tail of the other: a 2-arc walk
-                    if (outer[0], outer[1]) not in arcset:
-                        return False
-            elif not shared:
-                others = [
-                    (p, q)
-                    for p in sorted({a, b, c, d})
-                    for q in sorted({a, b, c, d})
-                    if p < q and (p, q) in arcset and (p, q) not in ((a, b), (c, d))
-                ]
-                if not others:
-                    return False
+    arcs = set(dg.arcs)
+    for (a, b), (c, d) in permutations(dg.arcs, 2):
+        if b == c and (a, d) not in arcs:
+            return False
+        quad = sorted({a, b, c, d})
+        if len(quad) == 4 and len(arcs.intersection(combinations(quad, 2))) == 2:
+            return False
     return True
 
 

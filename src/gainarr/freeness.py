@@ -46,10 +46,9 @@ from functools import lru_cache
 
 from .charpoly import chi_of_kind
 from .errors import GraphError, SearchBudgetExceeded, VerificationError
-from .gaingraph import GainGraph, contract_edge, induced_subgraph
+from .gaingraph import MAX_SCAN_VERTICES, GainGraph, contract_edge, induced_subgraph
 
 DEFAULT_NODE_CAP = 100_000
-_SUBSCAN_MAX_VERTICES = 10
 
 KINDS = ("cone", "bias")
 
@@ -180,7 +179,7 @@ def _induced_subgraphs(graph):
     """(subset, subgraph) for every proper induced subgraph on at least 3
     vertices that has an edge, in scan order."""
     n = graph.n_vertices
-    if n > _SUBSCAN_MAX_VERTICES:
+    if n > MAX_SCAN_VERTICES:
         return ()
     out = []
     for size in range(3, n):
@@ -400,6 +399,8 @@ def replay_certificate(cert, graph):
     and that every branch is itself a step, bottoming out at edgeless
     graphs.  Raises VerificationError on any mismatch, returns True.
     """
+    if cert.decider not in ("inductive", "divisional"):
+        raise VerificationError(f"unknown decider {cert.decider!r}")
     if not cert.verdict:
         raise VerificationError("only yes-certificates replay")
     kind = cert.kind

@@ -19,6 +19,9 @@ from .errors import BoundExceeded, GraphError
 GROUP_Z = "Z"
 F2 = ("F", 2)
 
+# the cycle scan and the induced-subgraph scans refuse larger graphs
+MAX_SCAN_VERTICES = 10
+
 
 def group_f(p):
     return ("F", p)
@@ -169,11 +172,8 @@ class CycleWithGain(namedtuple("CycleWithGain", "vertices edges gain")):
         return len(self.vertices)
 
 
-def is_balanced(cycle_or_gain, group=GROUP_Z):
-    if isinstance(cycle_or_gain, CycleWithGain):
-        return cycle_or_gain.gain == 0
-    g = cycle_or_gain
-    return (g % group[1] if group != GROUP_Z else g) == 0
+def is_balanced(cycle):
+    return cycle.gain == 0
 
 
 def _gain_along(group, cls, frm, to):
@@ -185,17 +185,18 @@ def _gain_along(group, cls, frm, to):
     raise GraphError(f"class {cls} does not join {frm} and {to}")
 
 
-def enumerate_cycles(graph, min_length=3, max_vertices=10):
+def enumerate_cycles(graph, min_length=3):
     """All cycles on distinct vertices, one entry per geometric cycle.
 
     Traversal convention: start at the minimum vertex of the cycle and step
     first toward the smaller of its two cycle neighbors.  Parallel classes
     give one cycle per choice of class.  min_length=2 adds digons (one per
     unordered pair of parallel classes, traversed out on the smaller class).
+    More than MAX_SCAN_VERTICES vertices raise BoundExceeded.
     """
-    if graph.n_vertices > max_vertices:
+    if graph.n_vertices > MAX_SCAN_VERTICES:
         raise BoundExceeded(
-            f"cycle enumeration capped at {max_vertices} vertices,"
+            f"cycle enumeration capped at {MAX_SCAN_VERTICES} vertices,"
             f" graph has {graph.n_vertices}"
         )
     group = graph.group

@@ -4,29 +4,32 @@ A signed graph here is a gain graph with group F_2; positive edges carry
 gain 0 and negative edges gain 1.  The freeness criterion for the coned
 arrangement of a signed graph is a conjunction of three checks:
 
-  1. every balanced cycle of length >= 4 has a chord splitting it into two
-     balanced cycles,
+  1. every balanced cycle of length >= 4 has a chord that closes a
+     balanced cycle with one of its arcs (arc gains are XORs of prefixes),
   2. no induced subgraph is exactly one unbalanced cycle of length >= 3,
-  3. no 4-vertex induced subgraph is switching-equivalent to the doubled
-     obstruction graph OBSTRUCTION_4 below.
+  3. no 4-vertex induced subgraph, renamed to 1..4, lies in the orbit of
+     OBSTRUCTION_4 under relabeling and gaingraph.switch_vertex.
 
 is_threshold and edelman_reiner_freeness cover the complete-positive-part
 special case: with all positive edges present, freeness is equivalent to
-the negative part being a threshold graph.
+the negative part being a threshold graph: no 4 vertices whose sorted
+degrees are those of 2K2, P4 or C4, cross-checked by vertex elimination.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 
 from .errors import BoundExceeded, GraphError, VerificationError
 from .gaingraph import (
     F2,
+    MAX_SCAN_VERTICES,
     GainGraph,
-    _gain_along,
     enumerate_cycles,
     induced_subgraph,
+    switch_vertex,
 )
 
 # 4-vertex obstruction: pairs {1,2} and {3,4} doubled, {1,3} negative only,
@@ -72,7 +75,24 @@ def _as_f2(graph):
     return graph
 
 
-def is_balanced_chordal(graph, max_vertices=10):
+def _splits_over_a_chord(cyc, gains):
+    """Some chord of the balanced cycle closes a balanced cycle with an arc.
+
+    prefix[t] XORs the gains up to position t, so the arc from a to b has
+    gain prefix[a] ^ prefix[b]; over F_2 a class has one gain both ways."""
+    prefix = [0]
+    for _, _, s in cyc.edges[:-1]:
+        prefix.append(prefix[-1] ^ s)
+    k = len(cyc)
+    return any(
+        prefix[a] ^ prefix[b] == s
+        for a, b in itertools.combinations(range(k), 2)
+        if 1 < b - a < k - 1
+        for s in gains.get((cyc.vertices[a], cyc.vertices[b]), ())
+    )
+
+
+def is_balanced_chordal(graph):
     """Every balanced cycle of length >= 4 splits over some chord.
 
     A chord is any edge class between non-consecutive cycle vertices; it
@@ -80,71 +100,50 @@ def is_balanced_chordal(graph, max_vertices=10):
     are balanced or unbalanced together, so one check suffices.
     """
     g = _as_f2(graph)
-    by_pair = {}
-    for e in g.edges:
-        by_pair.setdefault((e[0], e[1]), []).append(e)
-    for cyc in enumerate_cycles(g, min_length=4, max_vertices=max_vertices):
-        if cyc.gain != 0:
-            continue
-        k = len(cyc.vertices)
-        # prefix[t] = gain along the traversal from position 0 to t
-        prefix = [0]
-        for t, cls in enumerate(cyc.edges[:-1]):
-            prefix.append(
-                (prefix[-1] + _gain_along(F2, cls, cyc.vertices[t], cyc.vertices[t + 1]))
-                % 2
-            )
-        found = False
-        for a in range(k):
-            for b in range(a + 2, k):
-                if a == 0 and b == k - 1:
-                    continue  # consecutive around the wrap
-                va, vb = cyc.vertices[a], cyc.vertices[b]
-                pair = (va, vb) if va < vb else (vb, va)
-                for cls in by_pair.get(pair, ()):
-                    arc = (prefix[b] - prefix[a]) % 2
-                    back = _gain_along(F2, cls, vb, va)
-                    if (arc + back) % 2 == 0:
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
-            return False
-    return True
+    gains = {}
+    for i, j, s in g.edges:
+        gains.setdefault((i, j), []).append(s)
+        gains.setdefault((j, i), []).append(s)
+    return all(
+        cyc.gain or _splits_over_a_chord(cyc, gains)
+        for cyc in enumerate_cycles(g, min_length=4)
+    )
 
 
-def has_induced_unbalanced_cycle(graph, max_vertices=10):
+def _sorted_degrees(pairs):
+    """The sorted degrees of the vertices that the pairs touch."""
+    degree = {}
+    for a, b in pairs:
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
+    return sorted(degree.values())
+
+
+def has_induced_unbalanced_cycle(graph):
     """Some vertex subset induces exactly one cycle, and it is unbalanced.
 
     Subsets containing a doubled pair never qualify: the induced subgraph
     is then more than a plain cycle.
     """
     g = _as_f2(graph)
-    n = g.n_vertices
-    if n > max_vertices:
-        raise BoundExceeded(f"induced cycle scan capped at {max_vertices} vertices")
-    for size in range(3, n + 1):
+    if g.n_vertices > MAX_SCAN_VERTICES:
+        raise BoundExceeded(
+            f"induced cycle scan capped at {MAX_SCAN_VERTICES} vertices"
+        )
+    for size in range(3, g.n_vertices + 1):
         for subset in itertools.combinations(g.vertices, size):
             sg = induced_subgraph(g, subset)
             if len(sg.edges) != size:
                 continue
             pairs = {(i, j) for i, j, _ in sg.edges}
-            if len(pairs) != size:
-                continue  # doubled pair inside the subset
-            degree = {}
-            for i, j in pairs:
-                degree[i] = degree.get(i, 0) + 1
-                degree[j] = degree.get(j, 0) + 1
-            if any(d != 2 for d in degree.values()) or len(degree) != size:
-                continue
-            # connected 2-regular on the subset: a single cycle
-            if not _connected(subset, pairs):
-                continue
-            total = sum(gain for _, _, gain in sg.edges) % 2
-            if total == 1:
+            # no doubled pair, 2-regular on the subset, and connected: one
+            # cycle (on 6 or more vertices, 2-regular can be two cycles)
+            if (
+                len(pairs) == size
+                and _sorted_degrees(pairs) == [2] * size
+                and _connected(subset, pairs)
+                and sum(s for _, _, s in sg.edges) % 2
+            ):
                 return True
     return False
 
@@ -165,69 +164,41 @@ def _connected(vertices, pairs):
     return len(seen) == len(vertices)
 
 
-def _signed_shape(graph):
-    """Relabel to 0..3 and record each pair's gain set; a comparison key."""
-    pos = {v: k for k, v in enumerate(graph.vertices)}
-    shape = {}
-    for i, j, g in graph.edges:
-        shape.setdefault((pos[i], pos[j]), set()).add(g)
-    return tuple(sorted((p, tuple(sorted(s))) for p, s in shape.items()))
+def _relabeled(graph, order):
+    """graph with order[k] renamed k + 1 (a reversed F_2 class keeps its gain)."""
+    new = {v: k for k, v in enumerate(order, 1)}
+    return GainGraph(F2, new.values(), [(new[i], new[j], s) for i, j, s in graph.edges])
 
 
-def _switched_shape(shape, flips):
-    out = []
-    for (a, b), gains in shape:
-        if (a in flips) != (b in flips):
-            gains = tuple(sorted(g ^ 1 for g in gains))
-        out.append(((a, b), gains))
-    return tuple(sorted(out))
-
-
-def _relabeled_shape(shape, perm):
-    out = []
-    for (a, b), gains in shape:
-        a2, b2 = perm[a], perm[b]
-        if a2 > b2:
-            a2, b2 = b2, a2
-        out.append(((a2, b2), gains))
-    return tuple(sorted(out))
-
-
+@functools.cache
 def _obstruction_orbit():
-    base = _signed_shape(OBSTRUCTION_4)
+    """Every relabeling of OBSTRUCTION_4 to 1..4, switched at every subset."""
     orbit = set()
-    for perm in itertools.permutations(range(4)):
-        relabeled = _relabeled_shape(base, perm)
+    for order in itertools.permutations(OBSTRUCTION_4.vertices):
+        relabeled = _relabeled(OBSTRUCTION_4, order)
         for r in range(5):
-            for flips in itertools.combinations(range(4), r):
-                orbit.add(_switched_shape(relabeled, set(flips)))
-    return orbit
-
-
-_OBSTRUCTION_ORBIT = None
+            for flips in itertools.combinations(relabeled.vertices, r):
+                orbit.add(functools.reduce(switch_vertex, flips, relabeled))
+    return frozenset(orbit)
 
 
 def has_switching_obstruction(graph):
     """Some 4 vertices induce a graph switching-equivalent to OBSTRUCTION_4."""
-    global _OBSTRUCTION_ORBIT
-    if _OBSTRUCTION_ORBIT is None:
-        _OBSTRUCTION_ORBIT = _obstruction_orbit()
     g = _as_f2(graph)
     for subset in itertools.combinations(g.vertices, 4):
         sg = induced_subgraph(g, subset)
-        if len(sg.edges) != 8:
-            continue  # the obstruction has 8 classes; switching preserves count
-        if _signed_shape(sg) in _OBSTRUCTION_ORBIT:
+        # the obstruction has 8 classes, and switching keeps the count
+        if len(sg.edges) == 8 and _relabeled(sg, subset) in _obstruction_orbit():
             return True
     return False
 
 
-def signed_freeness_criterion(graph, max_vertices=10):
+def signed_freeness_criterion(graph):
     """The three-part freeness characterization for signed gain graphs."""
     g = _as_f2(graph)
     return (
-        is_balanced_chordal(g, max_vertices=max_vertices)
-        and not has_induced_unbalanced_cycle(g, max_vertices=max_vertices)
+        is_balanced_chordal(g)
+        and not has_induced_unbalanced_cycle(g)
         and not has_switching_obstruction(g)
     )
 
@@ -235,32 +206,16 @@ def signed_freeness_criterion(graph, max_vertices=10):
 # ---------------------------------------------------------------------------
 # threshold graphs and the complete-positive-part case
 
+# 2K2, P4 and C4: the 4-vertex graphs with these sorted degrees
+_NOT_THRESHOLD = ([1, 1, 1, 1], [1, 1, 2, 2], [2, 2, 2, 2])
+
 
 def _is_threshold_by_subgraphs(g: SimpleGraph):
     edges = set(g.edges)
     for quad in itertools.combinations(g.vertices, 4):
-        sub = [
-            (a, b) for a, b in itertools.combinations(quad, 2) if (a, b) in edges
-        ]
-        k = len(sub)
-        if k == 2:
-            (a1, b1), (a2, b2) = sub
-            if {a1, b1} & {a2, b2} == set():
-                return False  # 2K2
-        elif k == 3:
-            degree = {}
-            for a, b in sub:
-                degree[a] = degree.get(a, 0) + 1
-                degree[b] = degree.get(b, 0) + 1
-            if sorted(degree.values()) == [1, 1, 2, 2]:
-                return False  # P4
-        elif k == 4:
-            degree = {}
-            for a, b in sub:
-                degree[a] = degree.get(a, 0) + 1
-                degree[b] = degree.get(b, 0) + 1
-            if set(degree.values()) == {2}:
-                return False  # C4
+        sub = [p for p in itertools.combinations(quad, 2) if p in edges]
+        if _sorted_degrees(sub) in _NOT_THRESHOLD:
+            return False
     return True
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gainarr import verify
+from gainarr import freeness, verify
 from gainarr.cli import main
 from gainarr.intpoly import ONE
 from gainarr.scalars import QQ_Q, CyclotomicField
@@ -209,6 +209,22 @@ def test_signed_check_alias(tmp_path, capsys):
     assert code == 0
     assert doc["verdict"] is True
     assert doc["balancedChordal"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["signed-check"], ["free", "--mode", "df-edges", "--kind", "bias"]],
+)
+def test_signed_check_honours_node_cap(tmp_path, capsys, argv):
+    # the deciders need 8 nodes on this triangle from cold caches; free
+    # obeyed the cap already, and signed-check runs the same deciders
+    text = "group F 2\nvertices 3\nedge 1 2 0\nedge 1 3 0\nedge 2 3 0\n"
+    path = write_graph(tmp_path, text)
+    freeness.clear_caches()
+    code = main([argv[0], path, *argv[1:], "--node-cap", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
 
 
 def test_family_round_trip(tmp_path, capsys):

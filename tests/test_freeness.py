@@ -167,6 +167,15 @@ def test_replay_rejects_a_pivot_that_breaks_the_local_rule(decide, code):
         replay_certificate(forged, SHI_3)
 
 
+@pytest.mark.parametrize("decide", [if_along_edges, df_along_edges])
+def test_replay_rejects_an_unknown_decider(decide):
+    g = braid(3)
+    cert = decide(g, "cone")
+    assert replay_certificate(cert, g)
+    with pytest.raises(VerificationError, match="'bogus'"):
+        replay_certificate(cert._replace(decider="bogus"), g)
+
+
 def test_no_certificates_do_not_replay():
     cert = if_along_edges(path_digraph_graph(), "cone")
     with pytest.raises(VerificationError):

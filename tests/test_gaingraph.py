@@ -145,10 +145,10 @@ def test_contract_edge_matches_reference(group):
 
 def test_switching_preserves_cycle_balance():
     g = GainGraph(F2, (1, 2, 3), [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
-    balances = sorted(is_balanced(c, g.group) for c in enumerate_cycles(g))
+    balances = sorted(is_balanced(c) for c in enumerate_cycles(g))
     s = switch_vertex(g, 2)
     assert s != g
-    assert sorted(is_balanced(c, s.group) for c in enumerate_cycles(s)) == balances
+    assert sorted(is_balanced(c) for c in enumerate_cycles(s)) == balances
 
 
 def test_switching_needs_sign_gains():
@@ -166,9 +166,9 @@ def test_enumerate_cycles_triangle():
     g = GainGraph(GROUP_Z, (1, 2, 3), [(1, 2, 1), (2, 3, 2), (1, 3, 3)])
     cycles = enumerate_cycles(g)
     assert len(cycles) == 1
-    assert is_balanced(cycles[0], GROUP_Z)
+    assert is_balanced(cycles[0])
     g2 = GainGraph(GROUP_Z, (1, 2, 3), [(1, 2, 1), (2, 3, 2), (1, 3, 0)])
-    assert not is_balanced(enumerate_cycles(g2)[0], GROUP_Z)
+    assert not is_balanced(enumerate_cycles(g2)[0])
 
 
 def test_enumerate_cycles_counts():
@@ -177,14 +177,14 @@ def test_enumerate_cycles_counts():
     g = GainGraph(GROUP_Z, (1, 2, 3, 4), edges)
     cycles = enumerate_cycles(g)
     assert len(cycles) == 7
-    assert all(is_balanced(c, GROUP_Z) for c in cycles)
+    assert all(is_balanced(c) for c in cycles)
 
 
 def test_parallel_edges_make_short_cycles():
     g = GainGraph(GROUP_Z, (1, 2), [(1, 2, 0), (1, 2, 1)])
     cycles = enumerate_cycles(g, min_length=2)
     assert len(cycles) == 1
-    assert not is_balanced(cycles[0], GROUP_Z)
+    assert not is_balanced(cycles[0])
 
 
 def test_induced_subgraph():

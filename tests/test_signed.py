@@ -2,7 +2,8 @@
 
 import itertools
 
-import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gainarr.charpoly import chi_gaingraph_recursive
 from gainarr.freeness import freeness_verdicts
@@ -131,3 +132,31 @@ def test_criterion_equals_deciders_on_three_vertices():
         g = GainGraph(F2, (1, 2, 3), edges)
         v = freeness_verdicts(g)
         assert signed_freeness_criterion(g) == v["df"]["bias"] == v["df"]["cone"]
+
+
+@st.composite
+def signed_graphs(draw):
+    vs = tuple(range(1, draw(st.integers(1, 5)) + 1))
+    ground = [(i, j, s) for i, j in itertools.combinations(vs, 2) for s in (0, 1)]
+    edges = draw(st.lists(st.sampled_from(ground), unique=True)) if ground else []
+    return GainGraph(F2, vs, edges)
+
+
+PREDICATES = (
+    is_balanced_chordal,
+    has_induced_unbalanced_cycle,
+    has_switching_obstruction,
+    signed_freeness_criterion,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_graphs(), st.permutations(range(1, 6)))
+@example(OBSTRUCTION_4, [3, 1, 4, 2, 5])
+def test_signed_predicates_are_switching_and_relabeling_invariant(g, perm):
+    want = [p(g) for p in PREDICATES]
+    for v in g.vertices:
+        assert [p(switch_vertex(g, v)) for p in PREDICATES] == want, v
+    edges = [(perm[i - 1], perm[j - 1], s) for i, j, s in g.edges]
+    relabeled = GainGraph(F2, [perm[v - 1] for v in g.vertices], edges)
+    assert [p(relabeled) for p in PREDICATES] == want
