@@ -10,7 +10,11 @@ Three constructions from a gain graph Gamma on vertices v_1 < ... < v_l:
 
 Hyperplanes are stored canonically: the first nonzero coefficient is 1.
 Arrangements keep their hyperplanes sorted, so equal arrangements compare
-equal structurally.
+equal structurally.  make_hyperplane and make_arrangement establish this
+for outside input; the builders construct it and only sort: a member leads
+with the 1 at its lower vertex (classes are i < j on sorted vertices) or
+coordinate, build_cone only appends -const, and distinct edge classes give
+distinct hyperplanes, as F_p gains are reduced and g, q^g, zeta^g differ.
 """
 
 from __future__ import annotations
@@ -97,21 +101,17 @@ def build_affinographic(graph):
         coeffs = [D.zero] * n
         coeffs[idx[i]] = D.one
         coeffs[idx[j]] = D.neg(D.one)
-        hps.append(make_hyperplane(D, coeffs, D.from_int(g)))
-    return make_arrangement(D, n, hps)
+        hps.append(Hyperplane(tuple(coeffs), D.from_int(g)))
+    return Arrangement(D, n, tuple(sorted(hps)))
 
 
 def build_cone(arr):
     """Homogenize with a last coordinate z and adjoin {z = 0}."""
     D = arr.domain
     n = arr.dim
-    hps = []
-    for h in arr.hyperplanes:
-        hps.append(
-            make_hyperplane(D, h.coeffs + (D.neg(h.const),), D.zero)
-        )
-    hps.append(make_hyperplane(D, (D.zero,) * n + (D.one,), D.zero))
-    return make_arrangement(D, n + 1, hps)
+    hps = [Hyperplane(h.coeffs + (D.neg(h.const),), D.zero) for h in arr.hyperplanes]
+    hps.append(Hyperplane((D.zero,) * n + (D.one,), D.zero))
+    return Arrangement(D, n + 1, tuple(sorted(hps)))
 
 
 def build_bias(graph):
@@ -123,13 +123,13 @@ def build_bias(graph):
     for k in range(n):
         coeffs = [D.zero] * n
         coeffs[k] = D.one
-        hps.append(make_hyperplane(D, coeffs, D.zero))
+        hps.append(Hyperplane(tuple(coeffs), D.zero))
     for i, j, g in graph.edges:
         coeffs = [D.zero] * n
         coeffs[idx[i]] = D.one
         coeffs[idx[j]] = D.neg(D.q_power(g))
-        hps.append(make_hyperplane(D, coeffs, D.zero))
-    return make_arrangement(D, n, hps)
+        hps.append(Hyperplane(tuple(coeffs), D.zero))
+    return Arrangement(D, n, tuple(sorted(hps)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +202,16 @@ def essentialize(arr):
 
 
 def essentialize_with_map(arr):
-    """essentialize plus {old hyperplane: new hyperplane}."""
+    """essentialize plus {old hyperplane: new hyperplane}, in one pivot
+    pass; an essential arrangement comes back unchanged, with the identity."""
     D = arr.domain
     if not arr.is_central:
         raise ArrangementError("essentialize needs a central arrangement")
     pivots = pivot_columns(D, [list(h.coeffs) for h in arr.hyperplanes])
-    mapping = {}
-    hps = []
-    for h in arr.hyperplanes:
-        new = make_hyperplane(D, tuple(h.coeffs[p] for p in pivots), D.zero)
-        mapping[h] = new
-        hps.append(new)
-    return make_arrangement(D, len(pivots), hps), mapping
-
+    if len(pivots) == arr.dim:
+        return arr, {h: h for h in arr.hyperplanes}
+    mapping = {
+        h: make_hyperplane(D, tuple(h.coeffs[p] for p in pivots), D.zero)
+        for h in arr.hyperplanes
+    }
+    return make_arrangement(D, len(pivots), mapping.values()), mapping

@@ -32,6 +32,8 @@ from .intpoly import IntPolynomial, T_MINUS_1
 from .scalars import SpanTracker, integer_image, is_prime, pmul
 
 DEFAULT_MAX_HYPERPLANES = 24
+ORACLE_CONTROL_PRIMES = 2  # chi_finite_field_oracle's checks past interpolation
+ORACLE_MAX_VERTICES = 5
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +122,9 @@ def _poset_from_rows(D, rows, dim):
                     # for k outside the closure
                     continue
                 t2 = tracker.copy()
-                t2.add(rows[k])
+                # res is reduced already, and reducing it again changes
+                # nothing, so this leaves t2 as t2.add(rows[k]) would
+                t2.add(res)
                 closure = flat.closure.union(
                     [k],
                     (m for m in range(k + 1, n_h)
@@ -320,12 +324,13 @@ def _interpolate(xs, ys):
     return tuple(c // L for c in total)
 
 
-def chi_finite_field_oracle(graph, n_control=2, max_vertices=5):
+def chi_finite_field_oracle(graph):
     """Point-count chi of the affinographic arrangement of a Z-gain graph.
 
     Counts complement points over the first l+1 primes exceeding
     2*l*max|gain| + l, Lagrange-interpolates the degree-l polynomial, and
-    checks the result against n_control further primes.
+    checks the result against ORACLE_CONTROL_PRIMES further primes.  More
+    than ORACLE_MAX_VERTICES vertices raise BoundExceeded.
 
     The count is exact, pure Python, and visits at most p^(l-2) points.
     Translation: x -> x + c(1, ..., 1) maps every hyperplane x_i - x_j = g
@@ -341,13 +346,13 @@ def chi_finite_field_oracle(graph, n_control=2, max_vertices=5):
     if graph.group != GROUP_Z:
         raise GraphError("finite field oracle needs integer gains")
     l = graph.n_vertices
-    if l > max_vertices:
+    if l > ORACLE_MAX_VERTICES:
         raise BoundExceeded(
-            f"finite field oracle capped at {max_vertices} vertices"
+            f"finite field oracle capped at {ORACLE_MAX_VERTICES} vertices"
         )
     maxg = max((abs(g) for _, _, g in graph.edges), default=0)
     bound = 2 * l * maxg + l
-    primes = _primes_above(bound, l + 1 + n_control)
+    primes = _primes_above(bound, l + 1 + ORACLE_CONTROL_PRIMES)
     idx = {v: k for k, v in enumerate(graph.vertices)}
     # edges are canonical and vertices sorted, so idx[i] < idx[j]
     edges = [(idx[i], idx[j], g) for i, j, g in graph.edges]

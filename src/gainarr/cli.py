@@ -33,7 +33,6 @@ from .signed import (
     has_induced_unbalanced_cycle,
     has_switching_obstruction,
     is_balanced_chordal,
-    signed_freeness_criterion,
 )
 from .verify import DEFAULT_SEED, SUITES, _identity_holds, _poset_problems, run_suite
 from .version import __version__
@@ -107,18 +106,21 @@ def cmd_chi(cfg):
 
 
 def _signed_payload(g, node_cap):
-    crit = signed_freeness_criterion(g)
+    chordal = is_balanced_chordal(g)
+    unbalanced = has_induced_unbalanced_cycle(g)
+    obstruction = has_switching_obstruction(g)
+    crit = chordal and not unbalanced and not obstruction
     v = freeness_verdicts(g, node_cap)["df"]
     df_bias, df_cone = v["bias"], v["cone"]
     return {
         "agree": crit == df_bias == df_cone,
-        "balancedChordal": is_balanced_chordal(g),
+        "balancedChordal": chordal,
         "criterion": crit,
         "dfBias": df_bias,
         "dfCone": df_cone,
-        "inducedUnbalancedCycle": has_induced_unbalanced_cycle(g),
+        "inducedUnbalancedCycle": unbalanced,
         "mode": "signed",
-        "switchingObstruction": has_switching_obstruction(g),
+        "switchingObstruction": obstruction,
         "verdict": crit,
     }
 

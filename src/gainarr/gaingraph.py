@@ -186,19 +186,24 @@ def _gain_along(group, cls, frm, to):
 
 
 def enumerate_cycles(graph, min_length=3):
-    """All cycles on distinct vertices, one entry per geometric cycle.
+    """An iterator over all cycles on distinct vertices, one entry per
+    geometric cycle, yielded as they are found.
 
     Traversal convention: start at the minimum vertex of the cycle and step
     first toward the smaller of its two cycle neighbors.  Parallel classes
     give one cycle per choice of class.  min_length=2 adds digons (one per
     unordered pair of parallel classes, traversed out on the smaller class).
-    More than MAX_SCAN_VERTICES vertices raise BoundExceeded.
+    More than MAX_SCAN_VERTICES vertices raise BoundExceeded at the call.
     """
     if graph.n_vertices > MAX_SCAN_VERTICES:
         raise BoundExceeded(
             f"cycle enumeration capped at {MAX_SCAN_VERTICES} vertices,"
             f" graph has {graph.n_vertices}"
         )
+    return _cycles(graph, min_length)
+
+
+def _cycles(graph, min_length):
     group = graph.group
     by_pair = {}
     for e in graph.edges:
@@ -207,7 +212,6 @@ def enumerate_cycles(graph, min_length=3):
     for a, b in by_pair:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
-    out = []
 
     if min_length <= 2:
         for pair in sorted(by_pair):
@@ -218,7 +222,7 @@ def enumerate_cycles(graph, min_length=3):
                     _gain_along(group, c1, pair[0], pair[1]),
                     _gain_along(group, c2, pair[1], pair[0]),
                 )
-                out.append(CycleWithGain(pair, (c1, c2), gain))
+                yield CycleWithGain(pair, (c1, c2), gain)
 
     def classes_between(a, b):
         return by_pair.get((a, b) if a < b else (b, a), ())
@@ -248,5 +252,4 @@ def enumerate_cycles(graph, min_length=3):
                     gain = gain_add(
                         group, gain, _gain_along(group, cls, seq[t], seq[(t + 1) % k])
                     )
-                out.append(CycleWithGain(seq, combo, gain))
-    return out
+                yield CycleWithGain(seq, combo, gain)

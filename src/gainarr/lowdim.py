@@ -8,12 +8,14 @@ divides theta(alpha) for every line; those are linear conditions on the
 coefficients of P1, P2, expressed here through exact remainder expansion
 (binomial coefficients, valid in any characteristic).
 
-yoshinaga_free3 decides freeness of a central essential rank-3 arrangement:
-free iff chi = (t - 1)(t - d1)(t - d2) with integer d1, d2 and the Ziegler
+yoshinaga_free3 decides freeness of a central arrangement of rank at most
+3, essentialized in one pivot pass: rank <= 2 is free, and rank 3 is free
+iff chi = (t - 1)(t - d1)(t - d2) with integer d1, d2 and the Ziegler
 restriction to any member has exponents exactly (d1, d2).
 
-coincidence_3dim runs the coned affinographic test and the bias test on a
-3-vertex integer gain graph and checks they agree, exponent shift included.
+coincidence_3dim runs it on the coned affinographic and the bias side of a
+3-vertex integer gain graph and checks they agree.  Each stage takes the
+canonical members and the chi that the stage before it established.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .arrangement import (
+    Hyperplane,
     build_affinographic,
     build_bias,
     build_cone,
@@ -30,18 +33,13 @@ from .arrangement import (
     make_hyperplane,
     ziegler_restriction,
 )
-from .charpoly import (
-    DEFAULT_MAX_HYPERPLANES,
-    chi_cone,
-    chi_gaingraph_recursive,
-    chi_poset,
-)
+from .charpoly import chi_cone, chi_gaingraph_recursive, chi_poset
 from .errors import ArrangementError, BoundExceeded, GraphError, VerificationError
 from .gaingraph import GROUP_Z
 from .intpoly import IntPolynomial, T_MINUS_1
 from .scalars import QQ_Q, det, nullspace, rank_of_rows
 
-DEFAULT_MULT_CAP = 30
+MULT_CAP = 30
 
 
 def clear_caches():
@@ -74,12 +72,12 @@ def make_multiarrangement2d(domain, pairs):
 
 
 def from_ziegler(arr2, mult):
-    """Package a dim-2 arrangement plus multiplicity as a Multiarrangement2D."""
-    if arr2.dim != 2:
-        raise ArrangementError("expected a rank-2 restriction")
-    return make_multiarrangement2d(
-        arr2.domain,
-        [(h.coeffs, m) for h, m in zip(arr2.hyperplanes, mult.values)],
+    """A Ziegler restriction to a plane as a Multiarrangement2D: its members
+    are canonical, distinct and sorted, so their normals are the lines."""
+    if arr2.dim != 2 or not arr2.is_central:
+        raise ArrangementError("expected a central restriction to a plane")
+    return Multiarrangement2D(
+        arr2.domain, tuple(h.coeffs for h in arr2.hyperplanes), mult.values
     )
 
 
@@ -117,18 +115,19 @@ def _condition_rows(domain, lines, mults, d):
     return rows
 
 
-def exp2_solver(multi, verify=False, mult_cap=DEFAULT_MULT_CAP):
+def exp2_solver(multi, verify=False):
     """Exponents (d1, d2) of a rank-2 multiarrangement, d1 <= d2.
 
     Searches degrees upward for the first nonzero derivation; the partner
     degree is |m| - d1.  With verify=True a second derivation at degree d2
     is computed and the Saito determinant identity det = c * Q, c nonzero,
-    is checked; VerificationError is raised when it fails.
+    is checked; VerificationError is raised when it fails.  |m| above
+    MULT_CAP raises BoundExceeded.
     """
     total = multi.total()
-    if total > mult_cap:
+    if total > MULT_CAP:
         raise BoundExceeded(
-            f"exp2 solver capped at |m| = {mult_cap}, got {total}"
+            f"exp2 solver capped at |m| = {MULT_CAP}, got {total}"
         )
     return _exp2(multi, verify)
 
@@ -369,23 +368,36 @@ def schur_bialternant_check(partition, gains):
 # rank 3
 
 
-def yoshinaga_free3(arr, h, chi=None, max_hyperplanes=DEFAULT_MAX_HYPERPLANES):
-    """Freeness of a central essential rank-3 arrangement.
+def yoshinaga_free3(arr, h, chi=None):
+    """Freeness of a central arrangement of rank at most 3.
 
-    Free iff chi factors as (t - 1)(t - d1)(t - d2) with nonnegative integer
-    d1 <= d2 and the Ziegler restriction to h has exponents exactly
-    (d1, d2).  Returns (free, payload): exponents (1, d1, d2) on success,
-    else a refutation string.  The verdict is independent of which member
-    h is chosen.
+    essentialize_with_map's one pivot pass essentializes arr (an essential
+    arr comes back unchanged) and maps h; a given chi, arr's, is divided by
+    t^(dim - rank).  Rank <= 2 is free, exponents the roots of chi.  Rank 3
+    is free iff chi = (t - 1)(t - d1)(t - d2), 0 <= d1 <= d2 integers, and
+    the Ziegler restriction to h has exponents exactly (d1, d2).  Returns
+    (free, payload): the exponents on success, else a refutation string.
+    The verdict is independent of which member h is chosen.
     """
-    if arr.dim != 3:
-        raise ArrangementError("expected ambient dimension 3")
-    if not arr.is_central:
-        raise ArrangementError("expected a central arrangement")
-    if rank_of_rows(arr.domain, [list(hp.coeffs) for hp in arr.hyperplanes]) != 3:
-        raise ArrangementError("expected an essential (rank 3) arrangement")
+    ess, mapping = essentialize_with_map(arr)
+    if h not in mapping:
+        raise ArrangementError("restriction hyperplane not in arrangement")
+    if ess.dim > 3:
+        raise ArrangementError(f"expected rank at most 3, got {ess.dim}")
     if chi is None:
-        chi = chi_poset(arr, max_hyperplanes)
+        chi = chi_poset(ess)
+    else:
+        drop = arr.dim - ess.dim
+        if any(chi.coeffs[:drop]):
+            raise VerificationError(f"chi {chi} is not divisible by t^{drop}")
+        chi = IntPolynomial(chi.coeffs[drop:])
+    if ess.dim < 3:
+        roots = chi.integer_roots()
+        if roots is None:
+            raise VerificationError(
+                f"rank <= 2 central arrangement with non-split chi {chi}"
+            )
+        return True, tuple(roots)
     quad = chi.exact_quotient(T_MINUS_1)
     if quad is None:
         return False, f"chi {chi} has no (t - 1) factor"
@@ -393,9 +405,8 @@ def yoshinaga_free3(arr, h, chi=None, max_hyperplanes=DEFAULT_MAX_HYPERPLANES):
     if roots is None:
         return False, f"chi {chi} does not split over (t - 1)"
     d1, d2 = roots
-    restricted, mult = ziegler_restriction(arr, h)
-    multi = from_ziegler(restricted, mult)
-    e1, e2 = exp2_solver(multi)
+    restricted, mult = ziegler_restriction(ess, mapping[h])
+    e1, e2 = exp2_solver(from_ziegler(restricted, mult))
     if (e1, e2) == (d1, d2):
         return True, (1, d1, d2)
     return (
@@ -426,8 +437,8 @@ def coincidence_3dim(graph):
     The two verdicts must agree; a disagreement raises VerificationError,
     which coincidence_suite records as a verdict-coincidence failure.  Each
     side restricts to a member its builder always adds: z = 0 for the cone,
-    x3 = 0 for the bias side.  The cone side essentializes first and treats
-    rank < 3 (disconnected underlying graph) as free, exponents read off chi.
+    x3 = 0 for the bias side.  The cone has rank below 4, and below 3 when
+    the underlying graph is disconnected; yoshinaga_free3 essentializes it.
     """
     if graph.group != GROUP_Z or graph.n_vertices != 3:
         raise GraphError("coincidence check is for 3-vertex integer gain graphs")
@@ -435,30 +446,13 @@ def coincidence_3dim(graph):
     chi_b = chi_gaingraph_recursive(graph, "bias")
 
     cone = build_cone(build_affinographic(graph))
-    Dc = cone.domain
-    z_hp = make_hyperplane(Dc, (Dc.zero,) * 3 + (Dc.one,), Dc.zero)
-    ess, mapping = essentialize_with_map(cone)
-    chi_c = chi_cone(graph)
-    # divide out t^(codim drop) going to the essential chi
-    drop = cone.dim - ess.dim
-    coeffs = chi_c.coeffs
-    if any(coeffs[:drop]):
-        raise VerificationError(f"cone chi {chi_c} is not divisible by t^{drop}")
-    chi_ess = IntPolynomial(coeffs[drop:])
-    if ess.dim < 3:
-        # rank <= 2 central arrangements are always free
-        roots = chi_ess.integer_roots()
-        if roots is None:
-            raise VerificationError(
-                f"rank <= 2 central arrangement with non-split chi {chi_ess}"
-            )
-        free_a, detail_a = True, tuple(roots)
-    else:
-        free_a, detail_a = yoshinaga_free3(ess, mapping[z_hp], chi=chi_ess)
+    D = cone.domain
+    z_hp = Hyperplane((D.zero,) * 3 + (D.one,), D.zero)
+    free_a, detail_a = yoshinaga_free3(cone, z_hp, chi=chi_cone(graph))
 
     bias = build_bias(graph)
     D = bias.domain
-    x3 = make_hyperplane(D, (D.zero, D.zero, D.one), D.zero)
+    x3 = Hyperplane((D.zero, D.zero, D.one), D.zero)
     free_b, detail_b = yoshinaga_free3(bias, x3, chi=chi_b)
 
     if free_a != free_b:
@@ -471,16 +465,9 @@ def coincidence_3dim(graph):
 
 def exponent_shift_matches(result: CoincidenceResult):
     """Cor-style shift: cone exponents (0, 1, d2, d3) pair with bias
-    exponents (1, d2 + 1, d3 + 1).  Only meaningful on free instances."""
-    cone_roots = (T_MINUS_1 * result.chi_affin).integer_roots()
-    bias_roots = result.chi_bias.integer_roots()
-    if cone_roots is None or bias_roots is None:
-        return False
-    cone_roots = list(cone_roots)
-    # remove one 0 and one 1
-    if 0 not in cone_roots or 1 not in cone_roots:
-        return False
-    cone_roots.remove(0)
-    cone_roots.remove(1)
-    predicted = sorted([1] + [r + 1 for r in cone_roots])
-    return predicted == list(bias_roots)
+    exponents (1, d2 + 1, d3 + 1).  Only meaningful on free instances.  The
+    cone's roots are 1 and chi_affin's, so this reads: 0 is a root of
+    chi_affin and chi_bias's roots are chi_affin's plus one."""
+    a = result.chi_affin.integer_roots()
+    b = result.chi_bias.integer_roots()
+    return a is not None and 0 in a and b == [r + 1 for r in a]

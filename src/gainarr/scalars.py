@@ -12,7 +12,8 @@ and Q(q) to Z with every rank kept, and pivot_columns, rank_of_rows and
 the intersection poset eliminate there.  No production path runs a
 SpanTracker over Q(q); that tracker, kept small by
 RationalFunctions.row_primitive, is the exact reference path that the
-integer_image tests check against.
+integer_image tests check against.  det and rref divide in the field, by
+one forward elimination that rref follows with back substitution.
 
 Dense univariate polynomials over Z are represented as tuples of ints in
 ascending degree with no trailing zeros; the zero polynomial is ().  The
@@ -745,34 +746,49 @@ def rank_of_rows(domain, rows):
     return len(pivot_columns(domain, rows))
 
 
+def _echelon(D, rows):
+    """Forward field elimination: (echelon rows, pivot columns, row swaps).
+
+    Row k leads at pivots[k]; zero rows are dropped.  Swaps give det's sign.
+    """
+    work = [list(r) for r in rows]
+    pivots = []
+    swaps = 0
+    for col in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        below = (k for k in range(r, len(work)) if not D.is_zero(work[k][col]))
+        piv = next(below, None)
+        if piv is None:
+            continue
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            swaps += 1
+        inv = D.inv(work[r][col])
+        for k in range(r + 1, len(work)):
+            c = work[k][col]
+            if not D.is_zero(c):
+                f = D.mul(c, inv)
+                work[k] = [D.sub(x, D.mul(f, y)) for x, y in zip(work[k], work[r])]
+        pivots.append(col)
+    return work[: len(pivots)], pivots, swaps
+
+
 def rref(domain, rows):
     """Reduced row echelon form with field division.
 
     Returns (rows, pivot_columns); output rows have 1 in their pivot column
-    and zeros in every other pivot column.
+    and zeros in every other pivot column: _echelon, then back substitution.
     """
     D = domain
-    work = [list(r) for r in rows]
-    out, pivots = [], []
-    width = len(work[0]) if work else 0
-    for col in range(width):
-        target = None
-        for r in work:
-            if not D.is_zero(r[col]) and all(D.is_zero(r[c]) for c in range(col)):
-                target = r
-                break
-        if target is None:
-            continue
-        work.remove(target)
-        inv = D.inv(target[col])
-        target = [D.mul(inv, x) for x in target]
-        for rows_list in (work, out):
-            for k, r in enumerate(rows_list):
-                c = r[col]
-                if not D.is_zero(c):
-                    rows_list[k] = [D.sub(x, D.mul(c, y)) for x, y in zip(r, target)]
-        out.append(target)
-        pivots.append(col)
+    out, pivots, _ = _echelon(D, rows)
+    for k in range(len(out) - 1, -1, -1):
+        p = pivots[k]
+        inv = D.inv(out[k][p])
+        out[k] = target = [D.mul(inv, x) for x in out[k]]
+        for i in range(k):
+            c = out[i][p]
+            if not D.is_zero(c):
+                out[i] = [D.sub(x, D.mul(c, y)) for x, y in zip(out[i], target)]
     return out, pivots
 
 
@@ -792,30 +808,15 @@ def nullspace(domain, rows, width):
 
 
 def det(domain, rows):
-    """Determinant by field elimination."""
+    """Determinant: the signed product of _echelon's pivots, forward only."""
     D = domain
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DomainError("determinant of a non-square matrix")
-    work = [list(r) for r in rows]
-    result = D.one
-    for col in range(n):
-        piv = next(
-            (k for k in range(col, n) if not D.is_zero(work[k][col])), None
-        )
-        if piv is None:
-            return D.zero
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            result = D.neg(result)
-        lead = work[col][col]
-        result = D.mul(result, lead)
-        inv = D.inv(lead)
-        for k in range(col + 1, n):
-            c = work[k][col]
-            if not D.is_zero(c):
-                f = D.mul(c, inv)
-                work[k] = [
-                    D.sub(x, D.mul(f, y)) for x, y in zip(work[k], work[col])
-                ]
+    echelon, pivots, swaps = _echelon(D, rows)
+    if len(pivots) < n:
+        return D.zero
+    result = D.neg(D.one) if swaps % 2 else D.one
+    for k, row in enumerate(echelon):
+        result = D.mul(result, row[k])
     return result

@@ -1,10 +1,14 @@
 """Arrangement construction, restriction, and essentialization."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gainarr.arrangement import (
+    bias_domain,
     build_affinographic,
     build_bias,
     build_cone,
@@ -17,7 +21,52 @@ from gainarr.arrangement import (
 )
 from gainarr.errors import ArrangementError
 from gainarr.gaingraph import GROUP_Z, GainGraph, group_f
-from gainarr.scalars import QQ
+from gainarr.scalars import GF, QQ
+
+
+@st.composite
+def gain_graphs(draw):
+    """Graphs over Z, F_2 and F_3 on up to 4 vertices with any labels."""
+    group = draw(st.sampled_from([GROUP_Z, group_f(2), group_f(3)]))
+    l = draw(st.integers(0, 4))
+    labels = sorted(draw(st.sets(st.integers(1, 9), min_size=l, max_size=l)))
+    gains = range(-2, 3) if group == GROUP_Z else range(group[1])
+    ground = [(i, j, g) for i, j in itertools.combinations(labels, 2) for g in gains]
+    edges = draw(st.lists(st.sampled_from(ground), max_size=7)) if ground else []
+    return GainGraph(group, labels, edges)
+
+
+def normalized(D, dim, rows):
+    return make_arrangement(D, dim, [make_hyperplane(D, c, k) for c, k in rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(gain_graphs())
+def test_builders_match_the_normalizing_constructors(g):
+    # each class written from its upper vertex, x_j - x_i = -g and
+    # q^-g x_i - x_j = 0, so make_hyperplane has to rescale every row
+    A = QQ if g.group == GROUP_Z else GF(g.group[1])
+    B = bias_domain(g.group)
+    n = g.n_vertices
+    idx = {v: k for k, v in enumerate(g.vertices)}
+
+    def vec(D, entries):
+        return tuple(entries.get(k, D.zero) for k in range(n))
+
+    affin = [
+        (vec(A, {idx[i]: A.neg(A.one), idx[j]: A.one}), A.from_int(-g_))
+        for i, j, g_ in g.edges
+    ]
+    cone = [(c + (A.neg(k),), A.zero) for c, k in affin]
+    cone.append(((A.zero,) * n + (A.one,), A.zero))
+    bias = [(vec(B, {k: B.one}), B.zero) for k in range(n)]
+    bias += [
+        (vec(B, {idx[i]: B.q_power(-g_), idx[j]: B.neg(B.one)}), B.zero)
+        for i, j, g_ in g.edges
+    ]
+    assert build_affinographic(g) == normalized(A, n, affin)
+    assert build_cone(build_affinographic(g)) == normalized(A, n + 1, cone)
+    assert build_bias(g) == normalized(B, n, bias)
 
 
 def braid(l):

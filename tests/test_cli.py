@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gainarr import freeness, verify
+from gainarr import cli, freeness, signed, verify
 from gainarr.cli import main
 from gainarr.intpoly import ONE
 from gainarr.scalars import QQ_Q, CyclotomicField
@@ -211,6 +211,27 @@ def test_signed_check_alias(tmp_path, capsys):
     assert doc["balancedChordal"] is True
 
 
+def test_signed_check_reads_each_predicate_once(tmp_path, capsys, monkeypatch):
+    # on a positive triangle the criterion evaluates all three predicates
+    text = "group F 2\nvertices 3\nedge 1 2 0\nedge 1 3 0\nedge 2 3 0\n"
+    path = write_graph(tmp_path, text)
+    calls = {}
+    for name in (
+        "is_balanced_chordal",
+        "has_induced_unbalanced_cycle",
+        "has_switching_obstruction",
+    ):
+        def counted(g, name=name, real=getattr(signed, name)):
+            calls[name] = calls.get(name, 0) + 1
+            return real(g)
+
+        for module in (signed, cli):
+            monkeypatch.setattr(module, name, counted)
+    code, doc = run_json(capsys, ["signed-check", path])
+    assert code == 0 and doc["verdict"] is True
+    assert calls == dict.fromkeys(calls, 1) and len(calls) == 3
+
+
 @pytest.mark.parametrize(
     "argv",
     [["signed-check"], ["free", "--mode", "df-edges", "--kind", "bias"]],
@@ -225,6 +246,16 @@ def test_signed_check_honours_node_cap(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
+
+
+def test_signed_check_above_the_scan_cap_exits_3(tmp_path, capsys):
+    text = "group F 2\nvertices 11\nedge 1 2 0\n"
+    path = write_graph(tmp_path, text)
+    code = main(["signed-check", path, "--max-vertices", "11"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "capped at 10 vertices" in captured.err
 
 
 def test_family_round_trip(tmp_path, capsys):

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from gainarr import charpoly, freeness, lowdim
-from gainarr.errors import GraphError
+from gainarr.errors import BoundExceeded, GraphError
 from gainarr.gaingraph import (
     GROUP_Z,
+    MAX_SCAN_VERTICES,
     GainGraph,
     contract_edge,
     delete_edge,
@@ -164,25 +165,36 @@ def test_switching_is_an_involution_over_f2():
 
 def test_enumerate_cycles_triangle():
     g = GainGraph(GROUP_Z, (1, 2, 3), [(1, 2, 1), (2, 3, 2), (1, 3, 3)])
-    cycles = enumerate_cycles(g)
+    cycles = list(enumerate_cycles(g))
     assert len(cycles) == 1
     assert is_balanced(cycles[0])
     g2 = GainGraph(GROUP_Z, (1, 2, 3), [(1, 2, 1), (2, 3, 2), (1, 3, 0)])
-    assert not is_balanced(enumerate_cycles(g2)[0])
+    assert not is_balanced(list(enumerate_cycles(g2))[0])
 
 
 def test_enumerate_cycles_counts():
     # K4 with zero gains: 4 triangles + 3 squares
     edges = [(i, j, 0) for i in (1, 2, 3) for j in range(i + 1, 5)]
     g = GainGraph(GROUP_Z, (1, 2, 3, 4), edges)
-    cycles = enumerate_cycles(g)
+    cycles = list(enumerate_cycles(g))
     assert len(cycles) == 7
     assert all(is_balanced(c) for c in cycles)
 
 
+def test_enumerate_cycles_is_lazy():
+    # an iterator, so a caller that stops early never holds the whole list
+    edges = [(i, j, 0) for i in (1, 2, 3) for j in range(i + 1, 5)]
+    cycles = enumerate_cycles(GainGraph(GROUP_Z, (1, 2, 3, 4), edges))
+    assert iter(cycles) is cycles
+    assert next(cycles).vertices == (1, 2, 3)
+    # the vertex cap is checked at the call, before any cycle is asked for
+    with pytest.raises(BoundExceeded):
+        enumerate_cycles(GainGraph(GROUP_Z, range(MAX_SCAN_VERTICES + 1), []))
+
+
 def test_parallel_edges_make_short_cycles():
     g = GainGraph(GROUP_Z, (1, 2), [(1, 2, 0), (1, 2, 1)])
-    cycles = enumerate_cycles(g, min_length=2)
+    cycles = list(enumerate_cycles(g, min_length=2))
     assert len(cycles) == 1
     assert not is_balanced(cycles[0])
 

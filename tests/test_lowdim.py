@@ -5,13 +5,19 @@ from fractions import Fraction as F
 import pytest
 
 from gainarr.arrangement import (
+    build_affinographic,
+    build_cone,
+    essentialize_with_map,
     make_arrangement,
     make_hyperplane,
     ziegler_restriction,
 )
+from gainarr.charpoly import chi_cone, chi_gaingraph_recursive
+from gainarr.corpus import three_vertex_instances
 from gainarr.errors import ArrangementError, BoundExceeded, GraphError
 from gainarr.gaingraph import GROUP_Z, GainGraph
 from gainarr.lowdim import (
+    CoincidenceResult,
     coincidence_3dim,
     exp2_closed_form,
     exp2_solver,
@@ -180,6 +186,60 @@ def test_yoshinaga_fixtures():
     )
     free, why = yoshinaga_free3(gen, gen.hyperplanes[0])
     assert not free and isinstance(why, str)
+
+
+def test_from_ziegler_takes_the_restriction_as_it_stands():
+    cone = build_cone(build_affinographic(GainGraph(
+        GROUP_Z, (1, 2, 3), [(1, 2, 0), (1, 2, 1), (1, 3, 0), (2, 3, -1)]
+    )))
+    ess, _ = essentialize_with_map(cone)
+    for h in ess.hyperplanes:
+        res, mult = ziegler_restriction(ess, h)
+        pairs = [(k.coeffs, m) for k, m in zip(res.hyperplanes, mult.values)]
+        assert from_ziegler(res, mult) == make_multiarrangement2d(QQ, pairs)
+
+
+def test_yoshinaga_free3_essentializes_its_input():
+    # cones of rank 3, 2 (one parallel pair) and 1 (no edge) in dimension 4
+    for edges, rank in (
+        ([(1, 2, 0), (1, 3, 0), (2, 3, 1)], 3),
+        ([(1, 2, 0), (1, 3, 0), (2, 3, 0)], 3),
+        ([(1, 2, 0), (1, 2, 1)], 2),
+        ([], 1),
+    ):
+        g = GainGraph(GROUP_Z, (1, 2, 3), edges)
+        cone = build_cone(build_affinographic(g))
+        ess, mapping = essentialize_with_map(cone)
+        assert ess.dim == rank
+        for h in cone.hyperplanes:
+            got = yoshinaga_free3(cone, h)
+            assert got == yoshinaga_free3(ess, mapping[h])
+            assert got == yoshinaga_free3(cone, h, chi=chi_cone(g))
+    assert got == (True, (1,))
+    assert yoshinaga_free3(ess, ess.hyperplanes[0]) == (True, (1,))
+    # an essential arrangement comes back from essentialize unchanged
+    assert essentialize_with_map(ess) == (ess, {h: h for h in ess.hyperplanes})
+
+
+def test_yoshinaga_free3_refuses_rank_four():
+    coords = [[F(int(t == k)) for t in range(4)] for k in range(4)]
+    bool4 = make_arrangement(QQ, 4, [make_hyperplane(QQ, c, F(0)) for c in coords])
+    with pytest.raises(ArrangementError):
+        yoshinaga_free3(bool4, bool4.hyperplanes[0])
+
+
+def test_exponent_shift_is_the_chi_shift():
+    # chi_affin splits with root 0 and chi_bias(t) = chi_affin(t - 1)
+    seen = set()
+    for g in three_vertex_instances(1, 2):
+        chi_a = chi_gaingraph_recursive(g, "affinographic")
+        chi_b = chi_gaingraph_recursive(g, "bias")
+        roots = chi_a.integer_roots()
+        want = roots is not None and 0 in roots and chi_b == chi_a.shift(-1)
+        res = CoincidenceResult(None, None, None, None, chi_a, chi_b)
+        assert exponent_shift_matches(res) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_coincidence_not_free_triangle():

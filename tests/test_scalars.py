@@ -1,5 +1,6 @@
 """Exact arithmetic domains and fraction-free linear algebra."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -271,6 +272,41 @@ def test_pivot_columns_match_rref(name):
         pivots = rref(D, rows)[1]
         assert pivot_columns(D, rows) == pivots
         assert rank_of_rows(D, rows) == len(pivots)
+
+    check()
+
+
+def leibniz(D, rows):
+    """det as the signed sum over permutations."""
+    n = len(rows)
+    total = D.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = D.neg(D.one) if inversions % 2 else D.one
+        for i, j in enumerate(perm):
+            term = D.mul(term, rows[i][j])
+        total = D.add(total, term)
+    return total
+
+
+@pytest.mark.parametrize("name", ["Q", "F7", "Q(q)"])
+def test_det_and_rref_against_definitions(name):
+    D, entry = {
+        "Q": (QQ, fractions),
+        "F7": (GF(7), small.map(GF(7).from_int)),
+        "Q(q)": ENTRIES["Q(q)"],
+    }[name]
+    entries = st.one_of(st.just(D.zero), entry)
+    square = st.integers(0, 3).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(square, st.data())
+    def check(rows, data):
+        assert D.eq(det(D, rows), leibniz(D, rows))
+        # the reduced row echelon form depends on the row space only
+        assert rref(D, data.draw(st.permutations(rows))) == rref(D, rows)
 
     check()
 
