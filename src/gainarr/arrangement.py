@@ -202,16 +202,17 @@ def essentialize(arr):
 
 
 def essentialize_with_map(arr):
-    """essentialize plus {old hyperplane: new hyperplane}, in one pivot
-    pass; an essential arrangement comes back unchanged, with the identity."""
-    D = arr.domain
+    """essentialize plus {old hyperplane: new hyperplane}, in one pivot pass.
+
+    Every nonzero vector of the row space leads at a pivot column, so the
+    projected members keep their leading 1, stay distinct and stay sorted;
+    an essential arrangement comes back unchanged, with the identity map.
+    """
     if not arr.is_central:
         raise ArrangementError("essentialize needs a central arrangement")
-    pivots = pivot_columns(D, [list(h.coeffs) for h in arr.hyperplanes])
-    if len(pivots) == arr.dim:
-        return arr, {h: h for h in arr.hyperplanes}
+    pivots = pivot_columns(arr.domain, [list(h.coeffs) for h in arr.hyperplanes])
     mapping = {
-        h: make_hyperplane(D, tuple(h.coeffs[p] for p in pivots), D.zero)
+        h: Hyperplane(tuple(h.coeffs[p] for p in pivots), h.const)
         for h in arr.hyperplanes
     }
-    return make_arrangement(D, len(pivots), mapping.values()), mapping
+    return Arrangement(arr.domain, len(pivots), tuple(mapping.values())), mapping

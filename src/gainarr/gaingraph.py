@@ -193,17 +193,14 @@ def enumerate_cycles(graph, min_length=3):
     first toward the smaller of its two cycle neighbors.  Parallel classes
     give one cycle per choice of class.  min_length=2 adds digons (one per
     unordered pair of parallel classes, traversed out on the smaller class).
-    More than MAX_SCAN_VERTICES vertices raise BoundExceeded at the call.
+    More than MAX_SCAN_VERTICES vertices raise BoundExceeded at the first
+    cycle asked for.
     """
     if graph.n_vertices > MAX_SCAN_VERTICES:
         raise BoundExceeded(
             f"cycle enumeration capped at {MAX_SCAN_VERTICES} vertices,"
             f" graph has {graph.n_vertices}"
         )
-    return _cycles(graph, min_length)
-
-
-def _cycles(graph, min_length):
     group = graph.group
     by_pair = {}
     for e in graph.edges:

@@ -76,9 +76,10 @@ def from_ziegler(arr2, mult):
     are canonical, distinct and sorted, so their normals are the lines."""
     if arr2.dim != 2 or not arr2.is_central:
         raise ArrangementError("expected a central restriction to a plane")
-    return Multiarrangement2D(
-        arr2.domain, tuple(h.coeffs for h in arr2.hyperplanes), mult.values
-    )
+    lines = tuple(h.coeffs for h in arr2.hyperplanes)
+    if len(mult.values) != len(lines) or not all(m > 0 for m in mult.values):
+        raise ArrangementError("expected one positive multiplicity per line")
+    return Multiarrangement2D(arr2.domain, lines, mult.values)
 
 
 def _condition_rows(domain, lines, mults, d):

@@ -21,7 +21,7 @@ from gainarr.arrangement import (
 )
 from gainarr.errors import ArrangementError
 from gainarr.gaingraph import GROUP_Z, GainGraph, group_f
-from gainarr.scalars import GF, QQ
+from gainarr.scalars import GF, QQ, pivot_columns
 
 
 @st.composite
@@ -64,9 +64,18 @@ def test_builders_match_the_normalizing_constructors(g):
         (vec(B, {idx[i]: B.q_power(-g_), idx[j]: B.neg(B.one)}), B.zero)
         for i, j, g_ in g.edges
     ]
+    built_cone = build_cone(build_affinographic(g))
     assert build_affinographic(g) == normalized(A, n, affin)
-    assert build_cone(build_affinographic(g)) == normalized(A, n + 1, cone)
+    assert built_cone == normalized(A, n + 1, cone)
     assert build_bias(g) == normalized(B, n, bias)
+    # essentializing the cone projects it onto the pivot columns as it stands
+    members = built_cone.hyperplanes
+    pivots = pivot_columns(A, [list(h.coeffs) for h in members])
+    rows = [(tuple(h.coeffs[p] for p in pivots), h.const) for h in members]
+    ess, mapping = essentialize_with_map(built_cone)
+    assert ess == normalized(A, len(pivots), rows)
+    for h, (coeffs, const) in zip(members, rows):
+        assert mapping[h] == make_hyperplane(A, coeffs, const)
 
 
 def braid(l):

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from gainarr.arrangement import (
+    Multiplicity,
     build_affinographic,
     build_cone,
     essentialize_with_map,
@@ -148,6 +149,10 @@ def test_from_ziegler():
     assert len(m.lines) == len(res.hyperplanes)
     with pytest.raises(ArrangementError):
         from_ziegler(b3ish, mult)
+    # one positive multiplicity per line
+    for values in ((0,) + mult.values[1:], mult.values[1:], mult.values + (1,)):
+        with pytest.raises(ArrangementError):
+            from_ziegler(res, Multiplicity(values))
 
 
 def test_schur_bialternant():
