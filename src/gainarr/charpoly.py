@@ -4,18 +4,21 @@
    layer, run the Mobius recursion, and sum mu(X) t^dim(X).  Works over
    any of the exact domains, affine or central.  Rows over Q, Q(zeta_2)
    and Q(q) are first mapped to an exact integer image and eliminated
-   over Z; intersection_poset carries the argument that this changes no
-   flat.
+   over Z; scalars.integer_image carries the argument that this changes
+   no flat.
 2. chi_gaingraph_recursive: deletion-contraction on the gain graph with
    base case t^l for the affinographic arrangement and (t-1)^l for the
    bias arrangement, pivoting on the lexicographically smallest edge; one
    pass computes both, memoized as a pair on the graph, its own key.  The
    memo holds one object per distinct chi and per distinct pair.
+   chi_of_kind also serves the cone, (t - 1) * chi_affin, from a memo on
+   the affinographic chi.
 3. chi_finite_field_oracle: count complement points of the affinographic
-   arrangement of an integer-gain graph over enough large primes and
-   interpolate; extra primes cross-check the interpolation.  The count is
-   pure Python and reduced by translation and by the last vertex, as its
-   docstring argues; it shares no code with 1 or 2.
+   arrangement of an integer-gain graph modulo consecutive integers above
+   l * max|gain| and interpolate; extra moduli cross-check the
+   interpolation.  Its docstring argues why any such modulus, prime or
+   not, counts chi, and why the pure-Python count may be reduced by
+   translation and by the last vertex; it shares no code with 1 or 2.
 
 The three must agree; tests and the verify suites enforce that.
 """
@@ -29,10 +32,10 @@ from math import lcm
 from .errors import BoundExceeded, GraphError, VerificationError
 from .gaingraph import GROUP_Z, GainGraph, contract_edge
 from .intpoly import IntPolynomial, T_MINUS_1
-from .scalars import SpanTracker, integer_image, is_prime, pmul
+from .scalars import SpanTracker, integer_image, pmul
 
 DEFAULT_MAX_HYPERPLANES = 24
-ORACLE_CONTROL_PRIMES = 2  # chi_finite_field_oracle's checks past interpolation
+ORACLE_CONTROL_POINTS = 2  # chi_finite_field_oracle's checks past interpolation
 ORACLE_MAX_VERTICES = 5
 
 
@@ -69,18 +72,8 @@ def intersection_poset(arr, max_hyperplanes=DEFAULT_MAX_HYPERPLANES):
 
     The flats are built from scalars.integer_image of the augmented rows
     (coeffs | const), eliminated over Z whenever the domain is Q, Q(zeta_2)
-    or Q(q); F_p and Q(zeta_p) for odd p keep their rows and domain.  For
-    these rows width = dim + 1, so k = min(#rows, dim + 1) bounds the size
-    of any square minor and q0 = 2 + k! * prod(the k largest row norms),
-    each norm floored at 1 so that zero rows cannot make q0 = 2.
-
-    The image is exact.  A row scaled by a nonzero element of Z[q] spans
-    the same space.  Every j x j minor over Z[q], j <= k, has coefficient
-    l1-norm at most q0 - 2, so by Cauchy's bound its nonzero roots have
-    |r| <= q0 - 1: a nonzero minor stays nonzero at q0, and a zero one
-    stays zero because evaluation is a ring map.  Ranks of all row and
-    column subsets, hence every emptiness test, every closure and mu, are
-    unchanged.
+    or Q(q).  That image keeps the rank of every row and column subset, as
+    its docstring argues, hence every emptiness test, closure and mu.
 
     The covered skip is exact.  From a rank-r flat F, once H_k is joined,
     every H_k' in closure(F v H_k) outside closure(F) is skipped: F cap H_k
@@ -231,14 +224,16 @@ def _chi_rec(graph):
     return _intern((_intern(a), _intern(b)))
 
 
-def chi_cone(graph):
-    """chi of the coned affinographic arrangement, (t - 1) * chi_affin.
+def chi_of_kind(graph, kind):
+    """kind in {"affinographic", "bias", "cone"}.
 
-    The product is memoized on the interned affinographic chi, so graphs
-    that share it share one cone polynomial; charpoly.clear_caches()
-    empties that memo with the others.
+    The cone's chi is (t - 1) * chi_affin, memoized on the interned
+    affinographic chi, so graphs that share it share one cone polynomial;
+    charpoly.clear_caches() empties that memo with the others.
     """
-    return _cone(_chi_rec(graph)[0])
+    if kind == "cone":
+        return _cone(_chi_rec(graph)[0])
+    return chi_gaingraph_recursive(graph, kind)
 
 
 @lru_cache(maxsize=None)
@@ -246,32 +241,15 @@ def _cone(chi_affin):
     return _intern(T_MINUS_1 * chi_affin)
 
 
-def chi_of_kind(graph, kind):
-    """kind in {"affinographic", "bias", "cone"}."""
-    if kind == "cone":
-        return chi_cone(graph)
-    return chi_gaingraph_recursive(graph, kind)
-
-
 # ---------------------------------------------------------------------------
-# finite field counting oracle
+# point-counting oracle
 
 
-def _primes_above(bound, count):
-    out = []
-    cand = max(2, bound + 1)
-    while len(out) < count:
-        if is_prime(cand):
-            out.append(cand)
-        cand += 1
-    return out
-
-
-def _complement_count(l, edges, p):
-    """Points of F_p^l off every hyperplane x_i - x_j = g, (i, j, g) in
+def _complement_count(l, edges, m):
+    """Points of (Z/m)^l off every hyperplane x_i - x_j = g, (i, j, g) in
     edges with 0 <= i < j < l; see chi_finite_field_oracle."""
     if l < 2:
-        return p**l
+        return m**l
     # x_j must avoid x_i - g for each edge (i, j, g) to an earlier vertex i
     back = [[] for _ in range(l)]
     for i, j, g in edges:
@@ -279,17 +257,17 @@ def _complement_count(l, edges, p):
     xs = [0] * l
 
     def count(k):
-        forbidden = {(xs[i] + s) % p for i, s in back[k]}
+        forbidden = {(xs[i] + s) % m for i, s in back[k]}
         if k == l - 1:
-            return p - len(forbidden)
+            return m - len(forbidden)
         total = 0
-        for v in range(p):
+        for v in range(m):
             if v not in forbidden:
                 xs[k] = v
                 total += count(k + 1)
         return total
 
-    return p * count(1)
+    return m * count(1)
 
 
 def _interpolate(xs, ys):
@@ -327,21 +305,32 @@ def _interpolate(xs, ys):
 def chi_finite_field_oracle(graph):
     """Point-count chi of the affinographic arrangement of a Z-gain graph.
 
-    Counts complement points over the first l+1 primes exceeding
-    2*l*max|gain| + l, Lagrange-interpolates the degree-l polynomial, and
-    checks the result against ORACLE_CONTROL_PRIMES further primes.  More
-    than ORACLE_MAX_VERTICES vertices raise BoundExceeded.
+    Counts complement points in (Z/m)^l at the consecutive moduli
+    m = B+1, ..., B+l+1, where B = l * max|gain|, Lagrange-interpolates
+    the degree-l polynomial, and checks the result at ORACLE_CONTROL_POINTS
+    further moduli.  More than ORACLE_MAX_VERTICES vertices raise
+    BoundExceeded.
 
-    The count is exact, pure Python, and visits at most p^(l-2) points.
+    Any modulus m > B counts chi(m), prime or not.  By inclusion-exclusion
+    over the edge sets S, the complement has sum_S (-1)^|S| N_S(m) points,
+    where N_S(m) counts the points of (Z/m)^l on every hyperplane of S.
+    That is m^c(S), c(S) the number of components of S, when every
+    fundamental cycle of S has gain sum = 0 (mod m), and 0 otherwise.  A
+    fundamental cycle has at most l edges, so its gain sum has absolute
+    value at most B < m: it is 0 mod m exactly when it is 0, that is, when
+    the cycle is balanced.  So the count is the sum over balanced S of
+    (-1)^|S| m^c(S), which is chi(m).
+
+    The count is exact, pure Python, and visits at most m^(l-2) points.
     Translation: x -> x + c(1, ..., 1) maps every hyperplane x_i - x_j = g
-    onto itself, so it permutes the complement.  Each orbit has p points,
-    exactly one of them with x_0 = 0, so the complement has p times as
+    onto itself, so it permutes the complement.  Each orbit has m points,
+    exactly one of them with x_0 = 0, so the complement has m times as
     many points as its slice x_0 = 0.  Last vertex: a point lies in the
     complement exactly when each x_j avoids the values x_i - g of its
     edges (i, j, g) to earlier vertices i, because every hyperplane is
     tested once, at its later vertex.  So x_1, ..., x_(l-2) run over their
     allowed values only, and the last coordinate, whose allowed values are
-    the p minus the distinct forbidden ones, is counted, not enumerated.
+    the m minus the distinct forbidden ones, is counted, not enumerated.
     """
     if graph.group != GROUP_Z:
         raise GraphError("finite field oracle needs integer gains")
@@ -350,19 +339,18 @@ def chi_finite_field_oracle(graph):
         raise BoundExceeded(
             f"finite field oracle capped at {ORACLE_MAX_VERTICES} vertices"
         )
-    maxg = max((abs(g) for _, _, g in graph.edges), default=0)
-    bound = 2 * l * maxg + l
-    primes = _primes_above(bound, l + 1 + ORACLE_CONTROL_PRIMES)
+    bound = l * max((abs(g) for _, _, g in graph.edges), default=0)
+    moduli = range(bound + 1, bound + l + 2 + ORACLE_CONTROL_POINTS)
     idx = {v: k for k, v in enumerate(graph.vertices)}
     # edges are canonical and vertices sorted, so idx[i] < idx[j]
     edges = [(idx[i], idx[j], g) for i, j, g in graph.edges]
-    counts = [_complement_count(l, edges, p) for p in primes]
+    counts = [_complement_count(l, edges, m) for m in moduli]
 
-    poly = IntPolynomial(_interpolate(primes[: l + 1], counts[: l + 1]))
-    for p, n in zip(primes[l + 1 :], counts[l + 1 :]):
-        if poly(p) != n:
+    poly = IntPolynomial(_interpolate(moduli[: l + 1], counts[: l + 1]))
+    for m, n in zip(moduli[l + 1 :], counts[l + 1 :]):
+        if poly(m) != n:
             raise VerificationError(
-                f"control prime {p}: counted {n}, polynomial gives {poly(p)}"
+                f"control modulus {m}: counted {n}, polynomial gives {poly(m)}"
             )
     return poly
 

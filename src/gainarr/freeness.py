@@ -19,14 +19,17 @@ chi (its coned and bias arrangements are localizations, and localizations
 of free arrangements stay free).
 
 One decider node serves both kinds: each graph is analyzed once, into a
-pair of per-kind records (chi, roots, forbidden substructure, inductive
-and divisional verdicts), and the deletion and contraction of each edge
-are built at most once per node, on first use, for all four searches.
-chi comes from charpoly's memo, which holds both kinds of a graph in one
-entry.  Records are memoized per graph across calls; a node cap bounds
-how many fresh subgraphs one top-level call may analyze, and how many
-subgraphs its certificate walk may list, memoized or not.  Memoized roots
-are tuples; callers receive lists of their own.
+pair of per-kind verdict records, and the deletion and contraction of
+each edge are built at most once per node, on first use, for all four
+searches.  Records keep only verdicts; chi comes from charpoly's memo,
+which holds both kinds of a graph in one entry, and roots from _roots_of.
+
+A search reads and writes the memo its _Budget carries; the node cap
+bounds the graphs it analyzes afresh.  freeness_verdicts shares one memo
+across calls.  A certificate searches with a memo of its own, so its
+nodes_explored, and the cap, count every distinct graph its search
+analyzes, whatever the process computed before.  Memoized roots are
+tuples; callers receive lists of their own.
 
 Each decider's local edge rule is stated once, in _local_failure, which
 both the search and replay_certificate apply; one walk, _walk, collects
@@ -82,11 +85,14 @@ def _included(sub, sup):
 
 
 class _Budget:
-    __slots__ = ("used", "cap")
+    """One search's analysis memo and its count of fresh analyses."""
 
-    def __init__(self, cap):
+    __slots__ = ("used", "cap", "memo")
+
+    def __init__(self, cap, memo):
         self.used = 0
         self.cap = cap
+        self.memo = memo
 
     def spend(self):
         self.used += 1
@@ -96,6 +102,7 @@ class _Budget:
             )
 
 
+# freeness_verdicts' memo, shared across calls
 _ANALYSIS = {}
 # the one shared object per distinct _KindNode and per distinct record pair
 _RECORDS = {}
@@ -118,12 +125,9 @@ def _roots_of(poly):
     return None if roots is None else tuple(roots)
 
 
-class _KindNode(
-    namedtuple("_KindNode", "chi roots sub inductive divisional")
-):
-    """One kind's analysis of one graph.
+class _KindNode(namedtuple("_KindNode", "inductive divisional")):
+    """One kind's verdicts on one graph.
 
-    sub: (subset, chi) of a forbidden induced subgraph, or None.
     inductive, divisional: (verdict, pivot edge, detail), where detail is
     a refutation reason or the tuple of per-edge failures.
     """
@@ -138,7 +142,7 @@ def _analyze(graph, budget):
     serve both deciders and both kinds; so do the induced subgraphs of the
     forbidden-substructure scan.
     """
-    rec = _ANALYSIS.get(graph)
+    rec = budget.memo.get(graph)
     if rec is not None:
         return rec
     budget.spend()
@@ -155,23 +159,20 @@ def _analyze(graph, budget):
     nodes = []
     for i, kind in enumerate(KINDS):
         chi = chi_of_kind(graph, kind)
-        roots = _roots_of(chi)
-        sub = None
         if not edges:
             inductive = divisional = (True, None, None)
-        elif roots is None:
+        elif _roots_of(chi) is None:
             inductive = divisional = (False, None, NON_INTEGER_ROOTS)
         else:
             if subgraphs is None:
                 subgraphs = _induced_subgraphs(graph)
-            sub = _forbidden_substructure(subgraphs, kind)
-            if sub is not None:
+            if _forbidden_substructure(subgraphs, kind) is not None:
                 inductive = divisional = (False, None, FORBIDDEN_SUBSTRUCTURE)
             else:
                 inductive = _search("inductive", edges, branch, i, chi, budget)
                 divisional = _search("divisional", edges, branch, i, chi, budget)
-        nodes.append(_intern(_KindNode(chi, roots, sub, inductive, divisional)))
-    rec = _ANALYSIS[graph] = _intern(tuple(nodes))
+        nodes.append(_intern(_KindNode(inductive, divisional)))
+    rec = budget.memo[graph] = _intern(tuple(nodes))
     return rec
 
 
@@ -278,13 +279,13 @@ class FreenessCertificate(
         return doc
 
 
-def _walk(graph, decider, i, verdict, budget, node_cap):
+def _walk(graph, decider, i, verdict, memo):
     """The certificate's subgraphs, depth first from graph, each once.
 
     A yes verdict follows each pivot to its deletion (inductive only) and
     its contraction; a no verdict follows the failures that name a
-    branch, and stops at branches that qualify.  At most node_cap
-    subgraphs are listed.
+    branch, and stops at branches that qualify.  The search that filled
+    memo analyzed every branch it names, so the walk analyzes nothing.
     """
     out = []
     seen = set()
@@ -294,19 +295,15 @@ def _walk(graph, decider, i, verdict, budget, node_cap):
         if g in seen:
             continue
         seen.add(g)
-        if len(seen) > node_cap:
-            raise SearchBudgetExceeded(
-                f"freeness certificate exceeds the node cap of {node_cap}"
-            )
-        node = _analyze(g, budget)[i]
-        ok, pivot, detail = getattr(node, decider)
+        ok, pivot, detail = getattr(memo[g][i], decider)
         if ok != verdict:
             if verdict:
                 raise VerificationError("witness walk reached a refuted subgraph")
             continue
-        entry = {"vertices": g.vertices, "edges": g.edges, "chi": str(node.chi)}
+        chi = chi_of_kind(g, KINDS[i])
+        entry = {"vertices": g.vertices, "edges": g.edges, "chi": str(chi)}
         if verdict:
-            entry.update(pivot=pivot, exponents=list(node.roots))
+            entry.update(pivot=pivot, exponents=list(_roots_of(chi)))
             if pivot is not None:
                 deleted, contracted = _branches(g, pivot)
                 if decider == "inductive":
@@ -328,17 +325,17 @@ def _walk(graph, decider, i, verdict, budget, node_cap):
 
 def _certify(graph, decider, kind, node_cap):
     i = KINDS.index(normalize_kind(kind))
-    budget = _Budget(node_cap)
-    node = _analyze(graph, budget)[i]
-    verdict, _, detail = getattr(node, decider)
+    budget = _Budget(node_cap, {})
+    verdict, _, detail = getattr(_analyze(graph, budget)[i], decider)
+    chi = chi_of_kind(graph, kind)
     steps = ()
     if detail == NON_INTEGER_ROOTS:
-        refutation = {"reason": detail, "chi": str(node.chi)}
+        refutation = {"reason": detail, "chi": str(chi)}
     elif detail == FORBIDDEN_SUBSTRUCTURE:
-        subset, chi_sub = node.sub
+        subset, chi_sub = _forbidden_substructure(_induced_subgraphs(graph), kind)
         refutation = {"reason": detail, "subset": subset, "subgraph_chi": str(chi_sub)}
     else:
-        walk = _walk(graph, decider, i, verdict, budget, node_cap)
+        walk = _walk(graph, decider, i, verdict, budget.memo)
         if verdict:
             steps, refutation = walk, None
         else:
@@ -352,8 +349,8 @@ def _certify(graph, decider, kind, node_cap):
         kind=kind,
         graph_key=tuple(graph),
         verdict=verdict,
-        chi=node.chi,
-        exponents=_fresh(node.roots),
+        chi=chi,
+        exponents=_fresh(_roots_of(chi)),
         steps=steps,
         refutation=refutation,
         nodes_explored=budget.used,
@@ -371,14 +368,16 @@ def df_along_edges(graph, kind="cone", node_cap=DEFAULT_NODE_CAP):
 
 
 def freeness_verdicts(graph, node_cap=DEFAULT_NODE_CAP):
-    """All four verdicts (decider x kind) without certificate assembly."""
-    budget = _Budget(node_cap)
+    """All four verdicts (decider x kind) without certificate assembly;
+    "nodes" counts the graphs this call analyzed afresh, not memoized."""
+    budget = _Budget(node_cap, _ANALYSIS)
     rec = _analyze(graph, budget)
+    chis = {k: chi_of_kind(graph, k) for k in KINDS}
     return {
         "if": {k: n.inductive[0] for k, n in zip(KINDS, rec)},
         "df": {k: n.divisional[0] for k, n in zip(KINDS, rec)},
-        "chi": {k: n.chi for k, n in zip(KINDS, rec)},
-        "exponents": {k: _fresh(n.roots) for k, n in zip(KINDS, rec)},
+        "chi": chis,
+        "exponents": {k: _fresh(_roots_of(c)) for k, c in chis.items()},
         "nodes": budget.used,
     }
 
@@ -397,12 +396,17 @@ def replay_certificate(cert, graph):
 
     Checks that every step's pivot is admissible by the decider's own rule
     and that every branch is itself a step, bottoming out at edgeless
-    graphs.  Raises VerificationError on any mismatch, returns True.
+    graphs.  Raises VerificationError on any mismatch or on a step that
+    lacks a field, returns True.
     """
     if cert.decider not in ("inductive", "divisional"):
         raise VerificationError(f"unknown decider {cert.decider!r}")
     if not cert.verdict:
         raise VerificationError("only yes-certificates replay")
+    for s in cert.steps:
+        missing = sorted({"vertices", "edges", "chi", "exponents", "pivot"} - s.keys())
+        if missing:
+            raise VerificationError(f"certificate step lacks {', '.join(missing)}")
     kind = cert.kind
     steps = {
         GainGraph(graph.group, s["vertices"], s["edges"]): s for s in cert.steps

@@ -33,7 +33,7 @@ from .arrangement import (
     make_hyperplane,
     ziegler_restriction,
 )
-from .charpoly import chi_cone, chi_gaingraph_recursive, chi_poset
+from .charpoly import chi_gaingraph_recursive, chi_of_kind, chi_poset
 from .errors import ArrangementError, BoundExceeded, GraphError, VerificationError
 from .gaingraph import GROUP_Z
 from .intpoly import IntPolynomial, T_MINUS_1
@@ -342,7 +342,8 @@ def schur_bialternant_check(partition, gains):
         raise ArrangementError("repeated points, Vandermonde vanishes")
 
     # complete homogeneous sums by the variable-extension recurrence
-    max_h = max(lam[0] + n, 1)
+    # no points: all three determinants are 0 x 0, and s_() = 1
+    max_h = lam[0] + n if n else 0
     h = [D.one] + [D.zero] * max_h  # h of zero variables
     for x in xs:
         new = list(h)
@@ -449,7 +450,7 @@ def coincidence_3dim(graph):
     cone = build_cone(build_affinographic(graph))
     D = cone.domain
     z_hp = Hyperplane((D.zero,) * 3 + (D.one,), D.zero)
-    free_a, detail_a = yoshinaga_free3(cone, z_hp, chi=chi_cone(graph))
+    free_a, detail_a = yoshinaga_free3(cone, z_hp, chi=chi_of_kind(graph, "cone"))
 
     bias = build_bias(graph)
     D = bias.domain

@@ -139,17 +139,30 @@ def full_count(l, edges, p):
     )
 
 
-@pytest.mark.parametrize("p", [2, 5])
-def test_reduced_count_matches_full_count(p):
+@pytest.mark.parametrize("m", [2, 4, 5, 6])
+def test_reduced_count_matches_full_count(m):
     # every Z graph on <= 3 vertices with <= 4 edges and |gain| <= 2; at
-    # p = 2 distinct gains collide, so forbidden values repeat
+    # m = 2 distinct gains collide, so forbidden values repeat, and the
+    # count is the same over a composite modulus
     n = 0
     for l in range(4):
         for g in iter_z_graphs(l, 4, 2):
             edges = [(i - 1, j - 1, gain) for i, j, gain in g.edges]
-            assert _complement_count(l, edges, p) == full_count(l, edges, p), g
+            assert _complement_count(l, edges, m) == full_count(l, edges, m), g
             n += 1
     assert n == 1974
+
+
+def test_oracle_modulus_bound_is_tight():
+    # the triangle's cycle has gain sum 3 = l * max|gain|: 0 mod 3 though
+    # unbalanced, so m = 3 miscounts, while every m above the bound counts chi
+    g = GainGraph(GROUP_Z, (1, 2, 3), [(1, 2, 1), (2, 3, 1), (1, 3, -1)])
+    edges = [(i - 1, j - 1, gain) for i, j, gain in g.edges]
+    chi = chi_gaingraph_recursive(g, "affinographic")
+    assert (_complement_count(3, edges, 3), chi(3)) == (6, 9)
+    for m in range(4, 12):
+        assert _complement_count(3, edges, m) == chi(m)
+    assert chi_finite_field_oracle(g) == chi
 
 
 @st.composite

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from gainarr import charpoly, freeness
 from gainarr.errors import GraphError, SearchBudgetExceeded, VerificationError
+from gainarr.families import make_family
 from gainarr.freeness import (
     CHI_NON_DIVISION,
     DEL_CHI_NON_SPLIT,
+    FORBIDDEN_SUBSTRUCTURE,
     clear_caches,
     df_along_edges,
     freeness_verdicts,
@@ -200,8 +202,8 @@ def test_node_cap_enforced():
 
 
 def test_node_cap_bounds_a_warm_certificate():
-    # with every subgraph memoized the search analyzes nothing, yet the
-    # certificate walk still may not list more subgraphs than the cap
+    # freeness_verdicts memoizes every subgraph, yet a certificate searches
+    # with a memo of its own, so the cap still counts each graph it analyzes
     clear_caches()
     freeness_verdicts(braid(4))
     with pytest.raises(SearchBudgetExceeded):
@@ -266,17 +268,19 @@ def test_memo_sizes_pinned_on_small_kind_agreement():
 
 def test_memo_values_shared_on_small_kind_agreement():
     # equal analyses share one record object and equal chi one polynomial,
-    # while every memo keeps its entry count (233 chi entries, 231 records)
+    # while every memo keeps its entry count (233 chi entries, 231 records);
+    # records hold verdicts only, so chi is read from charpoly's memos
     charpoly.clear_caches()
     clear_caches()
     assert kind_agreement_suite(max_vertices=3, max_edges=3, gain_bound=1)["passed"]
     assert charpoly._chi_rec.cache_info().currsize == 233
     recs = list(freeness._ANALYSIS.values())
     assert len(recs) == 231
-    assert len({id(r) for r in recs}) == len(set(recs)) == 55
+    assert len({id(r) for r in recs}) == len(set(recs)) == 13
     pairs = [charpoly._chi_rec(g) for g in freeness._ANALYSIS]
     assert len({id(p) for p in pairs}) == len(set(pairs)) == 15
-    chis = [n.chi for r in recs for n in r] + [c for p in pairs for c in p]
+    chis = [c for p in pairs for c in p]
+    chis += [charpoly.chi_of_kind(g, "cone") for g in freeness._ANALYSIS]
     assert len({id(c) for c in chis}) == len(set(chis)) == 41
 
 
@@ -288,7 +292,7 @@ def test_memo_records_hold_only_immutable_values():
     for g in (path_digraph_graph(), NO_ADMISSIBLE_EDGE_GRAPH, FORBIDDEN_SUB_GRAPH):
         freeness_verdicts(g)
     assert isinstance(freeness._ANALYSIS[NO_ADMISSIBLE_EDGE_GRAPH][0].inductive[2], tuple)
-    assert freeness._ANALYSIS[FORBIDDEN_SUB_GRAPH][0].sub is not None
+    assert freeness._ANALYSIS[FORBIDDEN_SUB_GRAPH][0].inductive[2] == FORBIDDEN_SUBSTRUCTURE
     allowed = {tuple, freeness._KindNode, IntPolynomial, int, bool, str, type(None)}
     seen = set()
     stack = list(freeness._ANALYSIS.values())
@@ -305,7 +309,8 @@ def test_memo_records_hold_only_immutable_values():
 
 
 def answers(g):
-    """freeness_verdicts and all four certificates, less the node counts."""
+    """freeness_verdicts, less its count of fresh analyses, and all four
+    certificates."""
     v = freeness_verdicts(g)
     del v["nodes"]
     certs = []
@@ -313,7 +318,6 @@ def answers(g):
         for kind in ("cone", "bias"):
             doc = decide(g, kind).to_json()
             assert doc["verdict"] == v[decider][kind]
-            del doc["nodes_explored"]
             certs.append(doc)
     return v, certs
 
@@ -330,3 +334,30 @@ def test_cold_and_warm_caches_give_equal_answers(g, others):
         answers(h)
     assert answers(g) == cold
     assert answers(g) == cold
+
+
+@pytest.mark.parametrize(
+    "g, calls, nodes",
+    [
+        (make_family("catalan", 4, 1), (if_along_edges, if_along_edges), 88),
+        (
+            GainGraph(GROUP_Z, (1, 2, 3), [(1, 2, -1), (1, 3, -1), (2, 3, 1)]),
+            (if_along_edges, df_along_edges),
+            1,
+        ),
+    ],
+)
+def test_certificates_do_not_depend_on_earlier_calls(g, calls, nodes):
+    # each certificate runs the cold search, whatever the process holds
+    clear_caches()
+    for decide in calls:
+        assert decide(g, "cone").nodes_explored == nodes
+
+
+def test_replay_names_the_missing_field_of_a_step():
+    g = braid(3)
+    cert = if_along_edges(g, "cone")
+    for field in ("pivot", "exponents", "chi", "vertices", "edges"):
+        steps = tuple({k: v for k, v in s.items() if k != field} for s in cert.steps)
+        with pytest.raises(VerificationError, match=f"lacks {field}"):
+            replay_certificate(cert._replace(steps=steps), g)

@@ -8,8 +8,8 @@ meant to keep behaviour keeps every digest; a change that is meant to
 alter an output re-records the digests it alters, which the failure
 message prints.
 
-Memo caches are cleared before each case, so a digest never depends on
-which cases ran before it in the same process.
+No memo is cleared between cases: a digest must not depend on which
+cases ran before it in the same process.
 """
 
 import hashlib
@@ -17,7 +17,6 @@ import json
 
 import pytest
 
-from gainarr import charpoly, freeness, lowdim
 from gainarr.arrangement import (
     build_affinographic,
     build_bias,
@@ -42,13 +41,6 @@ def canonical_digest(doc):
     doc = {k: v for k, v in doc.items() if k != "version"}
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-@pytest.fixture(autouse=True)
-def cold_caches():
-    charpoly.clear_caches()
-    freeness.clear_caches()
-    lowdim.clear_caches()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from gainarr.arrangement import (
     make_hyperplane,
     ziegler_restriction,
 )
-from gainarr.charpoly import chi_cone, chi_gaingraph_recursive
+from gainarr.charpoly import chi_gaingraph_recursive, chi_of_kind
 from gainarr.corpus import three_vertex_instances
 from gainarr.errors import ArrangementError, BoundExceeded, GraphError
 from gainarr.gaingraph import GROUP_Z, GainGraph
@@ -166,6 +166,11 @@ def test_schur_bialternant():
         schur_bialternant_check((1, 2), (0, 1))
 
 
+def test_schur_of_no_points_is_one():
+    # with no points all three determinants are 0 x 0, so s_() = 1
+    assert QQ_Q.eq(schur_bialternant_check((), ()), QQ_Q.one)
+
+
 def test_yoshinaga_fixtures():
     bool3 = make_arrangement(
         QQ,
@@ -219,7 +224,7 @@ def test_yoshinaga_free3_essentializes_its_input():
         for h in cone.hyperplanes:
             got = yoshinaga_free3(cone, h)
             assert got == yoshinaga_free3(ess, mapping[h])
-            assert got == yoshinaga_free3(cone, h, chi=chi_cone(g))
+            assert got == yoshinaga_free3(cone, h, chi=chi_of_kind(g, "cone"))
     assert got == (True, (1,))
     assert yoshinaga_free3(ess, ess.hyperplanes[0]) == (True, (1,))
     # an essential arrangement comes back from essentialize unchanged

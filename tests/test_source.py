@@ -1,6 +1,8 @@
 """Properties of the package source itself and of its record types."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -31,6 +33,31 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def test_tracer_names_exist():
+    # bench/tracer.py's Tracer.install looks every name up with getattr, so
+    # a renamed or removed function would fail each traced benchmark run
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("gainarr_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    def module(name):
+        return importlib.import_module(f"gainarr.{name}")
+
+    missing = [
+        f"{mod}.{fn}"
+        for mod, fns in tracer.SPANS.items()
+        for fn in fns
+        if not callable(getattr(module(mod), fn, None))
+    ] + [
+        f"{mod}.{cls}.{m}"
+        for (mod, cls), methods in tracer.COUNTED.items()
+        for m in methods
+        if not callable(getattr(getattr(module(mod), cls, None), m, None))
+    ]
+    assert tracer.SPANS and tracer.COUNTED and not missing, missing
 
 
 def _imported_packages(node):
