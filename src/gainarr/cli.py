@@ -22,7 +22,6 @@ from .families import FAMILY_KINDS, make_family
 from .freeness import (
     DEFAULT_NODE_CAP,
     df_along_edges,
-    freeness_verdicts,
     if_along_edges,
     replay_certificate,
 )
@@ -110,8 +109,9 @@ def _signed_payload(g, node_cap):
     unbalanced = has_induced_unbalanced_cycle(g)
     obstruction = has_switching_obstruction(g)
     crit = chordal and not unbalanced and not obstruction
-    v = freeness_verdicts(g, node_cap)["df"]
-    df_bias, df_cone = v["bias"], v["cone"]
+    # each certificate search is cold, so --node-cap bounds it exactly
+    df_bias = df_along_edges(g, "bias", node_cap).verdict
+    df_cone = df_along_edges(g, "cone", node_cap).verdict
     return {
         "agree": crit == df_bias == df_cone,
         "balancedChordal": chordal,

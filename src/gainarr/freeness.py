@@ -26,10 +26,11 @@ which holds both kinds of a graph in one entry, and roots from _roots_of.
 
 A search reads and writes the memo its _Budget carries; the node cap
 bounds the graphs it analyzes afresh.  freeness_verdicts shares one memo
-across calls.  A certificate searches with a memo of its own, so its
-nodes_explored, and the cap, count every distinct graph its search
-analyzes, whatever the process computed before.  Memoized roots are
-tuples; callers receive lists of their own.
+across calls and has no cap, so no verdict depends on earlier calls.  A
+certificate searches with a memo of its own, so its nodes_explored, and
+the cap, count every distinct graph its search analyzes, whatever the
+process computed before.  Memoized roots are tuples; callers receive
+lists of their own.
 
 Each decider's local edge rule is stated once, in _local_failure, which
 both the search and replay_certificate apply; one walk, _walk, collects
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, namedtuple
+from collections.abc import Mapping
 from functools import lru_cache
 
 from .charpoly import chi_of_kind
@@ -367,10 +369,11 @@ def df_along_edges(graph, kind="cone", node_cap=DEFAULT_NODE_CAP):
     return _certify(graph, "divisional", kind, node_cap)
 
 
-def freeness_verdicts(graph, node_cap=DEFAULT_NODE_CAP):
-    """All four verdicts (decider x kind) without certificate assembly;
+def freeness_verdicts(graph):
+    """All four verdicts (decider x kind) without certificate assembly,
+    searched without a node cap, so it never raises SearchBudgetExceeded;
     "nodes" counts the graphs this call analyzed afresh, not memoized."""
-    budget = _Budget(node_cap, _ANALYSIS)
+    budget = _Budget(float("inf"), _ANALYSIS)
     rec = _analyze(graph, budget)
     chis = {k: chi_of_kind(graph, k) for k in KINDS}
     return {
@@ -396,14 +399,16 @@ def replay_certificate(cert, graph):
 
     Checks that every step's pivot is admissible by the decider's own rule
     and that every branch is itself a step, bottoming out at edgeless
-    graphs.  Raises VerificationError on any mismatch or on a step that
-    lacks a field, returns True.
+    graphs.  Raises VerificationError on any mismatch or on a step that is
+    not a mapping or lacks a field, returns True.
     """
     if cert.decider not in ("inductive", "divisional"):
         raise VerificationError(f"unknown decider {cert.decider!r}")
     if not cert.verdict:
         raise VerificationError("only yes-certificates replay")
     for s in cert.steps:
+        if not isinstance(s, Mapping):
+            raise VerificationError(f"certificate step {s!r} is not a mapping")
         missing = sorted({"vertices", "edges", "chi", "exponents", "pivot"} - s.keys())
         if missing:
             raise VerificationError(f"certificate step lacks {', '.join(missing)}")

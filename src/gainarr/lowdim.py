@@ -6,12 +6,15 @@ of a nonzero logarithmic derivation.  A derivation theta = P1 d/dx + P2 d/dy
 with homogeneous degree-d coefficients lies in D(A, m) iff alpha^m(H)
 divides theta(alpha) for every line; those are linear conditions on the
 coefficients of P1, P2, expressed here through exact remainder expansion
-(binomial coefficients, valid in any characteristic).
+(binomial coefficients, valid in any characteristic).  exp2_three_lines,
+exp2_many_lines and exp2_q_powers are known exponents of special shapes,
+computed from the shape parameters alone.
 
 yoshinaga_free3 decides freeness of a central arrangement of rank at most
-3, essentialized in one pivot pass: rank <= 2 is free, and rank 3 is free
-iff chi = (t - 1)(t - d1)(t - d2) with integer d1, d2 and the Ziegler
-restriction to any member has exponents exactly (d1, d2).
+3, reading the rank from chi: rank <= 2 is free, and rank 3 is free iff
+chi = t^(dim - 3) (t - 1)(t - d1)(t - d2) with integer d1, d2 and the
+Ziegler restriction to any member has exponents exactly (d1, d2).  Only
+that restriction essentializes, in one pivot pass.
 
 coincidence_3dim runs it on the coned affinographic and the bias side of a
 3-vertex integer gain graph and checks they agree.  Each stage takes the
@@ -224,84 +227,38 @@ def _proportional(D, p, q):
 # closed forms
 
 
-def exp2_closed_form(multi, which):
-    """Known exponent formulas for special rank-2 shapes.
-
-    which = "many_lines": n >= |m|/2 + 1 lines gives (|m| - n + 1, n - 1).
-    which = "three_lines": three lines in characteristic zero.
-    which = "q_powers": x^(s+1) y^(t+1) prod_{g in L} (x - q^g y) over Q(q)
-        with 0 <= s <= t <= u = |L|.
-    """
-    D = multi.domain
-    total = multi.total()
-    n = len(multi.lines)
-    if which == "many_lines":
-        if 2 * n < total + 2:
-            raise ArrangementError(
-                f"needs n >= |m|/2 + 1: n={n}, |m|={total}"
-            )
-        return (total - n + 1, n - 1)
-    if which == "three_lines":
-        if n != 3:
-            raise ArrangementError("needs exactly three lines")
-        if D.char != 0:
-            raise ArrangementError("three-line formula needs characteristic zero")
-        m1, m2, m3 = sorted(multi.mults, reverse=True)
-        if m1 >= m2 + m3:
-            return (m2 + m3, m1)
-        k = total // 2
-        return (k, k) if total % 2 == 0 else (k, k + 1)
-    if which == "q_powers":
-        return _exp2_q_powers(multi)
-    raise ArrangementError(f"unknown closed form {which!r}")
+def exp2_three_lines(m1, m2, m3):
+    """Exponents of three distinct lines with multiplicities m1, m2, m3 in
+    characteristic zero: (m2 + m3, m1) when the largest, m1, is at least
+    the other two together, else |m| split as evenly as possible."""
+    if min(m1, m2, m3) < 1:
+        raise ArrangementError("multiplicities must be positive")
+    m1, m2, m3 = sorted((m1, m2, m3), reverse=True)
+    if m1 >= m2 + m3:
+        return (m2 + m3, m1)
+    total = m1 + m2 + m3
+    k = total // 2
+    return (k, k) if total % 2 == 0 else (k, k + 1)
 
 
-def _exp2_q_powers(multi):
-    D = multi.domain
-    if D is not QQ_Q:
-        raise ArrangementError("q-power formula lives over Q(q)")
-    x_mult = y_mult = None
-    exps = []
-    for (a, b), m in zip(multi.lines, multi.mults):
-        if D.is_zero(b):
-            x_mult = m  # line x = 0 is the pair (1, 0)
-        elif D.is_zero(a):
-            y_mult = m
-        else:
-            # expect x - q^g y: a = 1, b = -q^g
-            if m != 1:
-                raise ArrangementError("q-power lines must be simple")
-            g = _q_exponent(D, D.neg(b))
-            if g is None:
-                raise ArrangementError(f"line {(a, b)} is not x - q^g y")
-            exps.append(g)
-    if x_mult is None or y_mult is None:
-        raise ArrangementError("needs both coordinate lines")
-    s, t = x_mult - 1, y_mult - 1
-    if s > t:
-        s, t = t, s  # x <-> y symmetry negates the exponent set
-    u = len(exps)
-    if not (0 <= s <= t <= u):
+def exp2_many_lines(n, total):
+    """Exponents (|m| - n + 1, n - 1) of n distinct lines with total
+    multiplicity |m| when n >= |m|/2 + 1, in any characteristic."""
+    if not n <= total <= 2 * n - 2:
+        raise ArrangementError(f"needs n <= |m| <= 2n - 2: n={n}, |m|={total}")
+    return (total - n + 1, n - 1)
+
+
+def exp2_q_powers(s, t, u):
+    """Exponents of x^(s+1) y^(t+1) prod_{g in L} (x - q^g y) over Q(q), L
+    a set of u distinct integers, 0 <= s <= t <= u."""
+    if not 0 <= s <= t <= u:
         raise ArrangementError(f"needs 0 <= s <= t <= u: s={s}, t={t}, u={u}")
-    if len(set(exps)) != u:
-        raise ArrangementError("q-power exponents must be distinct")
     if u >= s + t:
         return (s + t + 1, u + 1)
     total = s + t + u
     k = total // 2
     return (k + 1, k + 1) if total % 2 == 0 else (k + 1, k + 2)
-
-
-def _q_exponent(D, value):
-    """g with value = q^g, else None."""
-    num, den = value
-    if den == (1,):
-        if sum(abs(c) for c in num) == 1 and num[-1] == 1:
-            return len(num) - 1
-        return None
-    if num == (1,) and sum(abs(c) for c in den) == 1 and den[-1] == 1:
-        return -(len(den) - 1)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -373,27 +330,33 @@ def schur_bialternant_check(partition, gains):
 def yoshinaga_free3(arr, h, chi=None):
     """Freeness of a central arrangement of rank at most 3.
 
-    essentialize_with_map's one pivot pass essentializes arr (an essential
-    arr comes back unchanged) and maps h; a given chi, arr's, is divided by
-    t^(dim - rank).  Rank <= 2 is free, exponents the roots of chi.  Rank 3
-    is free iff chi = (t - 1)(t - d1)(t - d2), 0 <= d1 <= d2 integers, and
-    the Ziegler restriction to h has exponents exactly (d1, d2).  Returns
-    (free, payload): the exponents on success, else a refutation string.
-    The verdict is independent of which member h is chosen.
+    chi is arr's characteristic polynomial, chi_poset(arr) when None, and
+    gives the rank: every flat contains the center, so chi(arr) =
+    t^(dim - rank) chi(ess arr), and the constant term of chi(ess arr) is
+    mu of the center, nonzero in a geometric lattice (Rota, 1964), over
+    every field.  So the rank is dim less the multiplicity of the root 0.
+    Rank <= 2 is free, exponents the roots of chi / t^(dim - rank).  Rank 3
+    is free iff that quotient is (t - 1)(t - d1)(t - d2), 0 <= d1 <= d2
+    integers, and the Ziegler restriction to h has exponents exactly
+    (d1, d2).  Only that restriction runs essentialize_with_map's pivot
+    pass, for coordinates, and the pass must find chi's rank.  A
+    non-central arr and an h outside it are refused before chi is read,
+    rank > 3 before any verdict.  Returns (free, payload): the exponents
+    on success, else a refutation string.  The verdict is independent of
+    which member h is chosen.
     """
-    ess, mapping = essentialize_with_map(arr)
-    if h not in mapping:
+    if not arr.is_central:
+        raise ArrangementError("yoshinaga_free3 needs a central arrangement")
+    if h not in arr.hyperplanes:
         raise ArrangementError("restriction hyperplane not in arrangement")
-    if ess.dim > 3:
-        raise ArrangementError(f"expected rank at most 3, got {ess.dim}")
     if chi is None:
-        chi = chi_poset(ess)
-    else:
-        drop = arr.dim - ess.dim
-        if any(chi.coeffs[:drop]):
-            raise VerificationError(f"chi {chi} is not divisible by t^{drop}")
-        chi = IntPolynomial(chi.coeffs[drop:])
-    if ess.dim < 3:
+        chi = chi_poset(arr)
+    drop = next((i for i, c in enumerate(chi.coeffs) if c), 0)
+    rank = arr.dim - drop
+    if rank > 3:
+        raise ArrangementError(f"expected rank at most 3, got {rank}")
+    chi = IntPolynomial(chi.coeffs[drop:])
+    if rank < 3:
         roots = chi.integer_roots()
         if roots is None:
             raise VerificationError(
@@ -407,6 +370,9 @@ def yoshinaga_free3(arr, h, chi=None):
     if roots is None:
         return False, f"chi {chi} does not split over (t - 1)"
     d1, d2 = roots
+    ess, mapping = essentialize_with_map(arr)
+    if ess.dim != rank:
+        raise VerificationError(f"chi gives rank {rank}, the pivot pass {ess.dim}")
     restricted, mult = ziegler_restriction(ess, mapping[h])
     e1, e2 = exp2_solver(from_ziegler(restricted, mult))
     if (e1, e2) == (d1, d2):
@@ -440,7 +406,8 @@ def coincidence_3dim(graph):
     which coincidence_suite records as a verdict-coincidence failure.  Each
     side restricts to a member its builder always adds: z = 0 for the cone,
     x3 = 0 for the bias side.  The cone has rank below 4, and below 3 when
-    the underlying graph is disconnected; yoshinaga_free3 essentializes it.
+    the underlying graph is disconnected; yoshinaga_free3 reads its rank
+    from the cone chi passed to it.
     """
     if graph.group != GROUP_Z or graph.n_vertices != 3:
         raise GraphError("coincidence check is for 3-vertex integer gain graphs")

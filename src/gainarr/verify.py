@@ -61,8 +61,10 @@ from .gaingraph import F2, GROUP_Z, GainGraph, contract_edge, delete_edge
 from .intpoly import IntPolynomial, T
 from .lowdim import (
     coincidence_3dim,
-    exp2_closed_form,
+    exp2_many_lines,
+    exp2_q_powers,
     exp2_solver,
+    exp2_three_lines,
     exponent_shift_matches,
     make_multiarrangement2d,
     schur_bialternant_check,
@@ -534,13 +536,12 @@ def signed_suite(
 
 
 def _exponents_audit(which, verify_stride):
-    """Audit of numbered (multiarrangement, instance) pairs: the solved
-    exponents against the closed form, verifying every verify_stride-th
-    solution's certificate."""
+    """Audit of numbered (multiarrangement, instance, closed form) triples:
+    the solved exponents against the closed form, verifying every
+    verify_stride-th solution's certificate; which names the checks."""
 
     def audit(numbered):
-        n, (multi, inst) = numbered
-        want = exp2_closed_form(multi, which)
+        n, (multi, inst, want) = numbered
         try:
             got = exp2_solver(multi, verify=n % verify_stride == 0)
         except VerificationError as exc:
@@ -567,7 +568,8 @@ def _three_lines(total):
             for m3 in range(1, min(m2, total - m1 - m2) + 1):
                 for perm in sorted(set(itertools.permutations((m1, m2, m3)))):
                     multi = make_multiarrangement2d(QQ, list(zip(lines, perm)))
-                    yield multi, {"multiplicities": list(perm)}
+                    inst = {"multiplicities": list(perm)}
+                    yield multi, inst, exp2_three_lines(*perm)
 
 
 def _mult_multisets(k, total):
@@ -591,7 +593,8 @@ def _many_lines(max_lines):
         for total in range(k, 2 * k - 1):
             for mults in _mult_multisets(k, total):
                 multi = make_multiarrangement2d(QQ, list(zip(lines, mults)))
-                yield multi, {"lines": k, "multiplicities": list(mults)}
+                inst = {"lines": k, "multiplicities": list(mults)}
+                yield multi, inst, exp2_many_lines(k, total)
 
 
 def _q_powers(total, gain_bound):
@@ -603,7 +606,8 @@ def _q_powers(total, gain_bound):
                     pairs = [((D.one, D.zero), s_ + 1), ((D.zero, D.one), t_ + 1)]
                     pairs += [((D.one, D.neg(D.q_power(g))), 1) for g in gains]
                     multi = make_multiarrangement2d(D, pairs)
-                    yield multi, {"gains": list(gains), "s": s_, "t": t_}
+                    inst = {"gains": list(gains), "s": s_, "t": t_}
+                    yield multi, inst, exp2_q_powers(s_, t_, u)
 
 
 def _schur_audit(instance):

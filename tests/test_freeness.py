@@ -361,3 +361,11 @@ def test_replay_names_the_missing_field_of_a_step():
         steps = tuple({k: v for k, v in s.items() if k != field} for s in cert.steps)
         with pytest.raises(VerificationError, match=f"lacks {field}"):
             replay_certificate(cert._replace(steps=steps), g)
+
+
+def test_replay_rejects_a_step_that_is_not_a_mapping():
+    g = GainGraph(F2, (1, 2, 3), [(1, 2, 0), (1, 3, 0), (2, 3, 0)])
+    cert = if_along_edges(g, "cone")
+    assert replay_certificate(cert, g)
+    with pytest.raises(VerificationError, match="not a mapping"):
+        replay_certificate(cert._replace(steps=cert.steps + (None,)), g)

@@ -3,10 +3,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gainarr.arrangement import (
     Multiplicity,
     build_affinographic,
+    build_bias,
     build_cone,
     essentialize_with_map,
     make_arrangement,
@@ -14,21 +17,29 @@ from gainarr.arrangement import (
     ziegler_restriction,
 )
 from gainarr.charpoly import chi_gaingraph_recursive, chi_of_kind
-from gainarr.corpus import three_vertex_instances
-from gainarr.errors import ArrangementError, BoundExceeded, GraphError
-from gainarr.gaingraph import GROUP_Z, GainGraph
+from gainarr.corpus import three_vertex_instances, vertex_pairs
+from gainarr.errors import (
+    ArrangementError,
+    BoundExceeded,
+    GraphError,
+    VerificationError,
+)
+from gainarr.gaingraph import GROUP_Z, GainGraph, group_f
+from gainarr.intpoly import IntPolynomial
 from gainarr.lowdim import (
     CoincidenceResult,
     coincidence_3dim,
-    exp2_closed_form,
+    exp2_many_lines,
+    exp2_q_powers,
     exp2_solver,
+    exp2_three_lines,
     exponent_shift_matches,
     from_ziegler,
     make_multiarrangement2d,
     schur_bialternant_check,
     yoshinaga_free3,
 )
-from gainarr.scalars import QQ, QQ_Q
+from gainarr.scalars import QQ, QQ_Q, pivot_columns
 
 X = (F(1), F(0))
 Y = (F(0), F(1))
@@ -81,23 +92,19 @@ def test_multiplicity_cap():
 
 def test_three_lines_closed_form():
     # dominant branch and both parities of the balanced branch
-    assert exp2_closed_form(multi((X, 3), (Y, 1), (XY, 1)), "three_lines") == (2, 3)
-    assert exp2_closed_form(multi((X, 1), (Y, 1), (XY, 1)), "three_lines") == (1, 2)
-    assert exp2_closed_form(multi((X, 2), (Y, 2), (XY, 2)), "three_lines") == (3, 3)
-    for m in (
-        multi((X, 4), (Y, 2), (XY, 3)),
-        multi((X, 1), (Y, 5), (XY, 2)),
-        multi((X, 2), (Y, 3), (XY, 4)),
-    ):
-        assert exp2_solver(m) == exp2_closed_form(m, "three_lines")
+    assert exp2_three_lines(3, 1, 1) == (2, 3)
+    assert exp2_three_lines(1, 1, 1) == (1, 2)
+    assert exp2_three_lines(2, 2, 2) == (3, 3)
+    for mults in ((4, 2, 3), (1, 5, 2), (2, 3, 4)):
+        m = multi(*zip((X, Y, XY), mults))
+        assert exp2_solver(m) == exp2_three_lines(*mults)
 
 
 def test_many_lines_closed_form():
     # enough distinct lines: exponents (|m| - n + 1, n - 1)
-    m = multi((X, 1), (Y, 1), (XY, 1))
-    assert exp2_closed_form(m, "many_lines") == (1, 2)
+    assert exp2_many_lines(3, 3) == (1, 2)
     m = multi((X, 2), (Y, 1), (XY, 1), ((F(1), F(-2)), 1))
-    assert exp2_solver(m) == exp2_closed_form(m, "many_lines") == (2, 3)
+    assert exp2_solver(m) == exp2_many_lines(4, 5) == (2, 3)
 
 
 def test_q_powers_closed_form():
@@ -111,12 +118,12 @@ def test_q_powers_closed_form():
 
     # wide case u >= s + t
     m = qmulti(0, 0, (0, 1))
-    assert exp2_solver(m, verify=True) == exp2_closed_form(m, "q_powers") == (1, 3)
+    assert exp2_solver(m, verify=True) == exp2_q_powers(0, 0, 2) == (1, 3)
     # balanced case splits near the middle, both parities
     m = qmulti(1, 2, (0, 1, 2))
-    assert exp2_solver(m) == exp2_closed_form(m, "q_powers")
+    assert exp2_solver(m) == exp2_q_powers(1, 2, 3)
     m = qmulti(2, 2, (-1, 0, 1))
-    assert exp2_solver(m) == exp2_closed_form(m, "q_powers")
+    assert exp2_solver(m) == exp2_q_powers(2, 2, 3)
 
 
 def test_solver_grid_against_q_powers_form():
@@ -128,7 +135,65 @@ def test_solver_grid_against_q_powers_form():
                 pairs = [((one, zero), s + 1), ((zero, one), t + 1)]
                 pairs += [((one, D.neg(D.q_power(g))), 1) for g in range(u)]
                 m = make_multiarrangement2d(D, pairs)
-                assert exp2_solver(m) == exp2_closed_form(m, "q_powers"), (s, t, u)
+                assert exp2_solver(m) == exp2_q_powers(s, t, u), (s, t, u)
+
+
+def test_closed_forms_refuse_out_of_range_shapes():
+    for args in ((0, 1, 1), (2, -1, 3)):
+        with pytest.raises(ArrangementError):
+            exp2_three_lines(*args)
+    for n, total in ((3, 5), (4, 3), (1, 1)):
+        with pytest.raises(ArrangementError):
+            exp2_many_lines(n, total)
+    for s, t, u in ((-1, 0, 0), (2, 1, 3), (1, 3, 2)):
+        with pytest.raises(ArrangementError):
+            exp2_q_powers(s, t, u)
+
+
+# distinct points of the projective line over Q: None is the line y = 0
+qq_slopes = st.one_of(
+    st.none(), st.fractions(min_value=-5, max_value=5, max_denominator=4)
+)
+
+
+def slope_line(c):
+    return (F(0), F(1)) if c is None else (F(1), c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(qq_slopes, min_size=3, max_size=3, unique=True),
+    st.lists(st.integers(1, 6), min_size=3, max_size=3),
+)
+def test_solver_matches_three_lines_on_random_lines(slopes, mults):
+    m = multi(*zip(map(slope_line, slopes), mults))
+    assert exp2_solver(m) == exp2_three_lines(*mults)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.data())
+def test_solver_matches_many_lines_on_random_lines(n, data):
+    slopes = data.draw(st.lists(qq_slopes, min_size=n, max_size=n, unique=True))
+    total = data.draw(st.integers(n, 2 * n - 2))
+    extra = st.integers(0, n - 1)
+    mults = [1] * n
+    for k in data.draw(st.lists(extra, min_size=total - n, max_size=total - n)):
+        mults[k] += 1
+    m = multi(*zip(map(slope_line, slopes), mults))
+    assert exp2_solver(m) == exp2_many_lines(n, total)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.data())
+def test_solver_matches_q_powers_on_random_gains(u, data):
+    D = QQ_Q
+    t = data.draw(st.integers(0, u))
+    s = data.draw(st.integers(0, t))
+    gains = data.draw(st.lists(st.integers(-3, 3), min_size=u, max_size=u, unique=True))
+    pairs = [((D.one, D.zero), s + 1), ((D.zero, D.one), t + 1)]
+    pairs += [((D.one, D.neg(D.q_power(g))), 1) for g in gains]
+    m = make_multiarrangement2d(D, pairs)
+    assert exp2_solver(m) == exp2_q_powers(s, t, u)
 
 
 def test_from_ziegler():
@@ -236,6 +301,55 @@ def test_yoshinaga_free3_refuses_rank_four():
     bool4 = make_arrangement(QQ, 4, [make_hyperplane(QQ, c, F(0)) for c in coords])
     with pytest.raises(ArrangementError):
         yoshinaga_free3(bool4, bool4.hyperplanes[0])
+
+
+@st.composite
+def small_graphs(draw, group):
+    l = draw(st.integers(1, 4))
+    gains = range(-2, 3) if group == GROUP_Z else range(3)
+    ground = [(i, j, g) for i, j in vertex_pairs(l) for g in gains]
+    edges = []
+    if ground:
+        edges = draw(st.lists(st.sampled_from(ground), max_size=6, unique=True))
+    return GainGraph(group, tuple(range(1, l + 1)), edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([GROUP_Z, group_f(3)]).flatmap(small_graphs))
+def test_rank_is_dim_less_the_multiplicity_of_root_zero(g):
+    # the argument yoshinaga_free3 reads its rank by, against a pivot pass
+    for kind, arr in (
+        ("cone", build_cone(build_affinographic(g))),
+        ("bias", build_bias(g)),
+    ):
+        chi = chi_of_kind(g, kind)
+        zeros = next(i for i, c in enumerate(chi.coeffs) if c)
+        rows = [list(h.coeffs) for h in arr.hyperplanes]
+        assert zeros == arr.dim - len(pivot_columns(arr.domain, rows)), kind
+
+
+def test_yoshinaga_free3_refuses_bad_input_whatever_chi_says():
+    # t^3 + 1 has no (t - 1) factor, so chi alone would refute freeness
+    refuting = IntPolynomial((1, 0, 0, 1))
+    coords = [[F(int(t == k)) for t in range(3)] for k in range(3)]
+    bool3 = make_arrangement(QQ, 3, [make_hyperplane(QQ, c, F(0)) for c in coords])
+    assert yoshinaga_free3(bool3, bool3.hyperplanes[0], chi=refuting)[0] is False
+    foreign = make_hyperplane(QQ, (F(1), F(1), F(0)), F(0))
+    with pytest.raises(ArrangementError, match="not in arrangement"):
+        yoshinaga_free3(bool3, foreign, chi=refuting)
+    shifted = make_hyperplane(QQ, coords[0], F(1))
+    affine = make_arrangement(QQ, 3, bool3.hyperplanes[1:] + (shifted,))
+    with pytest.raises(ArrangementError, match="central"):
+        yoshinaga_free3(affine, shifted, chi=refuting)
+
+
+def test_yoshinaga_free3_checks_chi_rank_against_the_pivot_pass():
+    # a rank-2 cone in dimension 4 handed a chi that reads rank 3
+    g = GainGraph(GROUP_Z, (1, 2, 3), [(1, 2, 0), (1, 2, 1)])
+    cone = build_cone(build_affinographic(g))
+    wrong = IntPolynomial.t_power(1) * IntPolynomial.from_roots([1, 1, 1])
+    with pytest.raises(VerificationError, match="rank 3"):
+        yoshinaga_free3(cone, cone.hyperplanes[0], chi=wrong)
 
 
 def test_exponent_shift_is_the_chi_shift():

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pathlib
 import subprocess
@@ -11,6 +12,7 @@ import sys
 import pytest
 
 import gainarr
+from gainarr import verify
 from gainarr.arrangement import Arrangement, Hyperplane, Multiplicity
 from gainarr.charpoly import Flat, IntersectionPoset
 from gainarr.families import Digraph
@@ -58,6 +60,25 @@ def test_tracer_names_exist():
         if not callable(getattr(getattr(module(mod), cls, None), m, None))
     ]
     assert tracer.SPANS and tracer.COUNTED and not missing, missing
+
+
+def test_bench_workload_plans_bind():
+    # bench/workloads.py names suites and their bounds as plain data, so a
+    # renamed suite or bound would otherwise show only as a failed run
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("gainarr_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    plans = [
+        (name, kwargs)
+        for table in (workloads.SUITES, workloads.TINY_SUITES)
+        for plan in table.values()
+        for name, kwargs in plan
+    ]
+    for name, kwargs in plans:
+        signature = inspect.signature(getattr(verify, name))
+        signature.bind(**kwargs, seed=workloads.DEFAULT_SEED)
+    assert plans
 
 
 def _imported_packages(node):
