@@ -1,10 +1,11 @@
 """Rank-2 multiarrangement exponents and the rank-3 freeness test.
 
 Rank-2 multiarrangements are always free; their exponent pair (d1, d2)
-satisfies d1 + d2 = |m|, so the solver only has to find the minimal degree
-of a nonzero logarithmic derivation.  A derivation theta = P1 d/dx + P2 d/dy
-with homogeneous degree-d coefficients lies in D(A, m) iff alpha^m(H)
-divides theta(alpha) for every line; those are linear conditions on the
+satisfies d1 + d2 = |m|, so the solver reads both off one kernel
+dimension, at degree floor((|m| - 1) / 2); exp2_solver states the
+argument.  A derivation theta = P1 d/dx + P2 d/dy with homogeneous
+degree-d coefficients lies in D(A, m) iff alpha^m(H) divides
+theta(alpha) for every line; those are linear conditions on the
 coefficients of P1, P2, expressed here through exact remainder expansion
 (binomial coefficients, valid in any characteristic).  exp2_three_lines,
 exp2_many_lines and exp2_q_powers are known exponents of special shapes,
@@ -17,8 +18,9 @@ Ziegler restriction to any member has exponents exactly (d1, d2).  Only
 that restriction essentializes, in one pivot pass.
 
 coincidence_3dim runs it on the coned affinographic and the bias side of a
-3-vertex integer gain graph and checks they agree.  Each stage takes the
-canonical members and the chi that the stage before it established.
+3-vertex integer gain graph, built only where chi leaves the verdict open,
+and checks they agree.  Each stage takes the canonical members and the
+chi that the stage before it established.
 """
 
 from __future__ import annotations
@@ -122,52 +124,53 @@ def _condition_rows(domain, lines, mults, d):
 def exp2_solver(multi, verify=False):
     """Exponents (d1, d2) of a rank-2 multiarrangement, d1 <= d2.
 
-    Searches degrees upward for the first nonzero derivation; the partner
-    degree is |m| - d1.  With verify=True a second derivation at degree d2
-    is computed and the Saito determinant identity det = c * Q, c nonzero,
-    is checked; VerificationError is raised when it fails.  |m| above
-    MULT_CAP raises BoundExceeded.
+    D(A, m) is free with d1 + d2 = |m| (Ziegler, 1989), so its degree-d
+    part has the dimension h(d) = max(0, d - d1 + 1) + max(0, d - d2 + 1).
+    At d = floor((|m| - 1) / 2), d < |m|/2 <= d2, so the kernel of the
+    degree-d conditions has dimension k = max(0, d - d1 + 1): d1 = d + 1 - k.
+    k = 0 means d1 > d, so d1 >= |m|/2, which only even |m| allows, with
+    d1 = d2 = |m|/2.  A reading outside 0 <= k <= d + 1, or k = 0 with odd
+    |m|, raises VerificationError.  This covers no line, (0, 0) read at
+    d = -1, and one line, (0, m).  With verify=True the kernels at d1 and d2
+    must have dimension h, and a derivation pair of those degrees must pass
+    the Saito determinant identity det = c * Q, c nonzero; VerificationError
+    is raised otherwise.  |m| above MULT_CAP raises BoundExceeded.
     """
     total = multi.total()
     if total > MULT_CAP:
-        raise BoundExceeded(
-            f"exp2 solver capped at |m| = {MULT_CAP}, got {total}"
-        )
+        raise BoundExceeded(f"exp2 solver capped at |m| = {MULT_CAP}, got {total}")
     return _exp2(multi, verify)
 
 
 @lru_cache(maxsize=None)
 def _exp2(multi, verify):
     total = multi.total()
-    if len(multi.lines) == 1:
-        # d/dy (for line x) has degree 0; exponents (0, m)
-        return _verify_pair(multi, 0, total) if verify else (0, total)
-    D = multi.domain
-    for d in range(total // 2 + 1):
-        rows = _condition_rows(D, multi.lines, multi.mults, d)
-        width = 2 * (d + 1)
-        if rank_of_rows(D, rows) < width:
-            return _verify_pair(multi, d, total - d) if verify else (d, total - d)
-    raise VerificationError(
-        f"no derivation found up to degree |m|/2 for {multi}"
-    )
+    d = (total - 1) // 2
+    rows = _condition_rows(multi.domain, multi.lines, multi.mults, d)
+    k = 2 * (d + 1) - rank_of_rows(multi.domain, rows)
+    if not 0 <= k <= d + 1 or (k == 0 and total % 2):
+        raise VerificationError(f"no exponents give kernel dimension {k} at {d}")
+    d1 = d + 1 - k
+    return _verify_pair(multi, d1, total - d1) if verify else (d1, total - d1)
 
 
-def _solve_at(multi, d):
+def _solve_at(multi, d, exponents):
+    """The degree-d derivations, as many as h(d) for these exponents."""
     D = multi.domain
     rows = _condition_rows(D, multi.lines, multi.mults, d)
-    return nullspace(D, rows, 2 * (d + 1))
+    basis = nullspace(D, rows, 2 * (d + 1))
+    want = sum(max(0, d - e + 1) for e in exponents)
+    if len(basis) != want:
+        raise VerificationError(f"degree-{d} kernel dimension {len(basis)}, not {want}")
+    return basis
 
 
 def _verify_pair(multi, d1, d2):
     """Saito check: some derivation pair has determinant c * Q, c != 0."""
     D = multi.domain
-    base = _solve_at(multi, d1)
-    if not base:
-        raise VerificationError("lost the degree-d1 derivation")
-    theta1 = base[0]
+    theta1 = _solve_at(multi, d1, (d1, d2))[0]
     q_poly = _defining_product(multi)
-    for theta2 in _solve_at(multi, d2):
+    for theta2 in _solve_at(multi, d2, (d1, d2)):
         det_poly = _pair_determinant(D, theta1, d1, theta2, d2)
         scalar = _proportional(D, det_poly, q_poly)
         if scalar is not None and not D.is_zero(scalar):
@@ -351,8 +354,24 @@ def yoshinaga_free3(arr, h, chi=None):
         raise ArrangementError("restriction hyperplane not in arrangement")
     if chi is None:
         chi = chi_poset(arr)
+    free, roots = _chi_verdict(arr.dim, chi)
+    if free is not None:
+        return free, roots
+    ess, mapping = essentialize_with_map(arr)
+    if ess.dim != 3:
+        raise VerificationError(f"chi gives rank 3, the pivot pass {ess.dim}")
+    restricted, mult = ziegler_restriction(ess, mapping[h])
+    exps = exp2_solver(from_ziegler(restricted, mult))
+    if exps == roots:
+        return True, (1,) + roots
+    return False, f"Ziegler exponents {exps} differ from chi roots {roots}"
+
+
+def _chi_verdict(dim, chi):
+    """yoshinaga_free3's (free, payload) from chi alone, or (None, (d1, d2))
+    when the restriction decides: rank 3, chi = t^(dim-3)(t-1)(t-d1)(t-d2)."""
     drop = next((i for i, c in enumerate(chi.coeffs) if c), 0)
-    rank = arr.dim - drop
+    rank = dim - drop
     if rank > 3:
         raise ArrangementError(f"expected rank at most 3, got {rank}")
     chi = IntPolynomial(chi.coeffs[drop:])
@@ -369,18 +388,7 @@ def yoshinaga_free3(arr, h, chi=None):
     roots = quad.integer_roots()
     if roots is None:
         return False, f"chi {chi} does not split over (t - 1)"
-    d1, d2 = roots
-    ess, mapping = essentialize_with_map(arr)
-    if ess.dim != rank:
-        raise VerificationError(f"chi gives rank {rank}, the pivot pass {ess.dim}")
-    restricted, mult = ziegler_restriction(ess, mapping[h])
-    e1, e2 = exp2_solver(from_ziegler(restricted, mult))
-    if (e1, e2) == (d1, d2):
-        return True, (1, d1, d2)
-    return (
-        False,
-        f"Ziegler exponents ({e1}, {e2}) differ from chi roots ({d1}, {d2})",
-    )
+    return None, tuple(roots)
 
 
 class CoincidenceResult(
@@ -403,26 +411,28 @@ def coincidence_3dim(graph):
     """Run cone-side and bias-side rank-3 freeness on a 3-vertex Z graph.
 
     The two verdicts must agree; a disagreement raises VerificationError,
-    which coincidence_suite records as a verdict-coincidence failure.  Each
-    side restricts to a member its builder always adds: z = 0 for the cone,
-    x3 = 0 for the bias side.  The cone has rank below 4, and below 3 when
-    the underlying graph is disconnected; yoshinaga_free3 reads its rank
-    from the cone chi passed to it.
+    which coincidence_suite records as a verdict-coincidence failure.  A
+    side's arrangement is built only when its chi leaves the verdict to the
+    Ziegler restriction to its last coordinate hyperplane, which its builder
+    always adds: z = 0 for the cone (of rank below 4), x3 = 0 for the bias.
     """
     if graph.group != GROUP_Z or graph.n_vertices != 3:
         raise GraphError("coincidence check is for 3-vertex integer gain graphs")
     chi_a = chi_gaingraph_recursive(graph, "affinographic")
     chi_b = chi_gaingraph_recursive(graph, "bias")
-
-    cone = build_cone(build_affinographic(graph))
-    D = cone.domain
-    z_hp = Hyperplane((D.zero,) * 3 + (D.one,), D.zero)
-    free_a, detail_a = yoshinaga_free3(cone, z_hp, chi=chi_of_kind(graph, "cone"))
-
-    bias = build_bias(graph)
-    D = bias.domain
-    x3 = Hyperplane((D.zero, D.zero, D.one), D.zero)
-    free_b, detail_b = yoshinaga_free3(bias, x3, chi=chi_b)
+    verdicts = []
+    for dim, chi, build in (
+        (4, chi_of_kind(graph, "cone"), lambda: build_cone(build_affinographic(graph))),
+        (3, chi_b, lambda: build_bias(graph)),
+    ):
+        verdict = _chi_verdict(dim, chi)
+        if verdict[0] is None:
+            arr = build()
+            D = arr.domain
+            last = Hyperplane((D.zero,) * (dim - 1) + (D.one,), D.zero)
+            verdict = yoshinaga_free3(arr, last, chi=chi)
+        verdicts.append(verdict)
+    (free_a, detail_a), (free_b, detail_b) = verdicts
 
     if free_a != free_b:
         raise VerificationError(

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gainarr import lowdim
 from gainarr.arrangement import (
+    Hyperplane,
     Multiplicity,
     build_affinographic,
     build_bias,
@@ -28,6 +30,7 @@ from gainarr.gaingraph import GROUP_Z, GainGraph, group_f
 from gainarr.intpoly import IntPolynomial
 from gainarr.lowdim import (
     CoincidenceResult,
+    _condition_rows,
     coincidence_3dim,
     exp2_many_lines,
     exp2_q_powers,
@@ -39,7 +42,7 @@ from gainarr.lowdim import (
     schur_bialternant_check,
     yoshinaga_free3,
 )
-from gainarr.scalars import QQ, QQ_Q, pivot_columns
+from gainarr.scalars import QQ, QQ_Q, nullspace, pivot_columns
 
 X = (F(1), F(0))
 Y = (F(0), F(1))
@@ -194,6 +197,85 @@ def test_solver_matches_q_powers_on_random_gains(u, data):
     pairs += [((D.one, D.neg(D.q_power(g))), 1) for g in gains]
     m = make_multiarrangement2d(D, pairs)
     assert exp2_solver(m) == exp2_q_powers(s, t, u)
+
+
+def assert_hilbert_function(m):
+    # every degree-d kernel has the dimension of the free module with the
+    # solver's exponents; nullspace's field rref, not the solver's rank
+    D, total = m.domain, m.total()
+    pair = exp2_solver(m)
+    for d in range(total + 1):
+        rows = _condition_rows(D, m.lines, m.mults, d)
+        got = len(nullspace(D, rows, 2 * (d + 1)))
+        assert got == sum(max(0, d - e + 1) for e in pair), (m, pair, d)
+
+
+def test_hilbert_function_of_small_shapes():
+    assert_hilbert_function(multi())
+    for line in (X, Y):
+        for k in (1, 2, 5):
+            assert_hilbert_function(multi((line, k)))
+    assert_hilbert_function(multi((Y, 4), (X, 1)))
+    assert_hilbert_function(multi((Y, 1), (XY, 3), ((F(1), F(2)), 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(qq_slopes, min_size=1, max_size=5, unique=True),
+    st.lists(st.integers(1, 4), min_size=5, max_size=5),
+)
+def test_hilbert_function_over_qq(slopes, mults):
+    assert_hilbert_function(multi(*zip(map(slope_line, slopes), mults)))
+
+
+# q-power slopes c q^g; (0, 0) is the line x and None the line y.  |m| stays
+# at most 8: a Q(q) nullspace at degree 12 can take seconds
+q_slopes = [None, (0, 0)] + [(c, g) for c in (1, -1, 2) for g in range(-2, 3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.sampled_from(q_slopes), min_size=1, max_size=4, unique=True),
+    st.lists(st.integers(1, 2), min_size=4, max_size=4),
+)
+def test_hilbert_function_over_q_of_q(slopes, mults):
+    D = QQ_Q
+
+    def line(s):
+        if s is None:
+            return (D.zero, D.one)
+        c, g = s
+        return (D.one, D.mul(D.from_int(c), D.q_power(g)))
+
+    m = make_multiarrangement2d(D, [(line(s), k) for s, k in zip(slopes, mults)])
+    assert_hilbert_function(m)
+
+
+def test_verify_checks_kernel_dimensions(monkeypatch):
+    # exponents (3, 4); one rank short reads (2, 5), and the degree-2
+    # nullspace is empty where the Hilbert function of (2, 5) gives 1
+    m = multi((X, 3), (Y, 2), (XY, 2))
+    real = lowdim.rank_of_rows
+    lowdim.clear_caches()
+    monkeypatch.setattr(lowdim, "rank_of_rows", lambda D, rows: real(D, rows) - 1)
+    with pytest.raises(VerificationError, match="degree-2 kernel dimension 0, not 1"):
+        exp2_solver(m, verify=True)
+    monkeypatch.undo()
+    assert exp2_solver(m, verify=True) == (3, 4)
+
+
+def test_solver_refuses_impossible_kernel_dimensions(monkeypatch):
+    # odd |m| = 3 leaves a kernel at degree 1; a full rank there fits no pair
+    m = multi((X, 1), (Y, 1), ((F(1), F(3)), 1))
+    lowdim.clear_caches()
+    monkeypatch.setattr(lowdim, "rank_of_rows", lambda D, rows: len(rows[0]))
+    with pytest.raises(VerificationError, match="kernel dimension 0 at 1"):
+        exp2_solver(m)
+    monkeypatch.setattr(lowdim, "rank_of_rows", lambda D, rows: len(rows[0]) + 1)
+    with pytest.raises(VerificationError, match="kernel dimension -1 at 1"):
+        exp2_solver(m)
+    monkeypatch.undo()
+    assert exp2_solver(m) == (1, 2)
 
 
 def test_from_ziegler():
@@ -405,3 +487,44 @@ def test_coincidence_needs_three_vertices():
     g = GainGraph(GROUP_Z, (1, 2), [(1, 2, 0)])
     with pytest.raises(GraphError):
         coincidence_3dim(g)
+
+
+def test_coincidence_builds_only_what_chi_leaves_open(monkeypatch):
+    # each side equals yoshinaga_free3 on its built arrangement, and is
+    # built only when its chi splits with rank 3
+    def last(arr):
+        D = arr.domain
+        return Hyperplane((D.zero,) * (arr.dim - 1) + (D.one,), D.zero)
+
+    built = []
+    for name in ("build_cone", "build_bias"):
+        real = getattr(lowdim, name)
+
+        def counted(arg, real=real, name=name):
+            built.append(name)
+            return real(arg)
+
+        monkeypatch.setattr(lowdim, name, counted)
+    graphs = open_sides = 0
+    for g in three_vertex_instances(1, 2):
+        graphs += 1
+        built.clear()
+        res = coincidence_3dim(g)
+        cone = build_cone(build_affinographic(g))
+        bias = build_bias(g)
+        chis = chi_of_kind(g, "cone"), chi_gaingraph_recursive(g, "bias")
+        want = [
+            yoshinaga_free3(arr, last(arr), chi=chi)
+            for arr, chi in zip((cone, bias), chis)
+        ]
+        got = [(res.free_cone, res.detail_cone), (res.free_bias, res.detail_bias)]
+        assert got == want
+        # rank 3 (dim - 3 roots 0) and chi = t^(dim - 3) (t - 1)(t - d1)(t - d2)
+        expect = []
+        for name, dim, chi in zip(("build_cone", "build_bias"), (4, 3), chis):
+            roots = chi.integer_roots()
+            if roots is not None and roots.count(0) == dim - 3 and 1 in roots:
+                expect.append(name)
+        assert built == expect, tuple(g)
+        open_sides += len(expect)
+    assert 0 < open_sides < 2 * graphs
