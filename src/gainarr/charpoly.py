@@ -233,6 +233,8 @@ def chi_of_kind(graph, kind):
     """
     if kind == "cone":
         return _cone(_chi_rec(graph)[0])
+    if kind == "bias":
+        return _chi_rec(graph)[1]
     return chi_gaingraph_recursive(graph, kind)
 
 

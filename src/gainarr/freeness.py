@@ -45,7 +45,7 @@ clear_caches() empties the interning table with the memos.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Mapping
 from functools import lru_cache
 
@@ -78,12 +78,9 @@ def normalize_kind(kind):
 
 
 def _included(sub, sup):
-    counts = Counter(sup)
-    for r in sub:
-        counts[r] -= 1
-        if counts[r] < 0:
-            return False
-    return True
+    """Multiset inclusion of ascending tuples: sub is a subsequence of sup."""
+    rest = iter(sup)
+    return all(r in rest for r in sub)
 
 
 class _Budget:

@@ -72,13 +72,13 @@ class IntPolynomial:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        return IntPolynomial(padd(self.coeffs, other.coeffs))
+        return _trimmed(padd(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        return IntPolynomial(psub(self.coeffs, other.coeffs))
+        return _trimmed(psub(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return IntPolynomial(pneg(self.coeffs))
+        return _trimmed(pneg(self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -91,12 +91,12 @@ class IntPolynomial:
         return peval(self.coeffs, x)
 
     def shift(self, a):
-        """p(t + a): Taylor shift by repeated synthetic division by t - a."""
+        """p(t + a) by repeated synthetic division; the leading coefficient stays."""
         c = list(self.coeffs)
         for i in range(len(c) - 1):
             for k in range(len(c) - 2, i - 1, -1):
                 c[k] += a * c[k + 1]
-        return IntPolynomial(c)
+        return _trimmed(tuple(c))
 
     def exact_quotient(self, other):
         """self / other in Z[t], or None when other does not divide self.
@@ -167,6 +167,14 @@ class IntPolynomial:
 
     def __repr__(self):
         return f"IntPolynomial({self.coeffs!r})"
+
+
+def _trimmed(coeffs):
+    """The IntPolynomial of a trimmed tuple, such as padd, psub and pneg
+    return on trimmed input, without trimming it again."""
+    p = object.__new__(IntPolynomial)
+    object.__setattr__(p, "coeffs", coeffs)
+    return p
 
 
 ONE = IntPolynomial((1,))

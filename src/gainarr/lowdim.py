@@ -38,7 +38,7 @@ from .arrangement import (
     make_hyperplane,
     ziegler_restriction,
 )
-from .charpoly import chi_gaingraph_recursive, chi_of_kind, chi_poset
+from .charpoly import _chi_rec, chi_of_kind, chi_poset
 from .errors import ArrangementError, BoundExceeded, GraphError, VerificationError
 from .gaingraph import GROUP_Z
 from .intpoly import IntPolynomial, T_MINUS_1
@@ -418,8 +418,7 @@ def coincidence_3dim(graph):
     """
     if graph.group != GROUP_Z or graph.n_vertices != 3:
         raise GraphError("coincidence check is for 3-vertex integer gain graphs")
-    chi_a = chi_gaingraph_recursive(graph, "affinographic")
-    chi_b = chi_gaingraph_recursive(graph, "bias")
+    chi_a, chi_b = _chi_rec(graph)
     verdicts = []
     for dim, chi, build in (
         (4, chi_of_kind(graph, "cone"), lambda: build_cone(build_affinographic(graph))),

@@ -55,10 +55,12 @@ def pneg(a):
 
 
 def psub(a, b):
-    out = list(a) + [0] * max(0, len(b) - len(a))
+    n = len(a) - len(b)
+    out = list(a) if n >= 0 else list(a) + [0] * -n
     for i, x in enumerate(b):
         out[i] -= x
-    return ptrim(out)
+    # when a is longer, out keeps a's top coefficient: nonzero means trimmed
+    return tuple(out) if n > 0 and out[-1] else ptrim(out)
 
 
 def pmul(a, b):

@@ -31,6 +31,7 @@ from .arrangement import (
 )
 from .charpoly import (
     DEFAULT_MAX_HYPERPLANES,
+    _chi_rec,
     chi_finite_field_oracle,
     chi_gaingraph_recursive,
     chi_of_kind,
@@ -194,8 +195,7 @@ def _identity_holds(a, b):
 
 
 def _identity_problems(g):
-    a = chi_gaingraph_recursive(g, "affinographic")
-    b = chi_gaingraph_recursive(g, "bias")
+    a, b = _chi_rec(g)
     if _identity_holds(a, b):
         return []
     return [("shift-identity", str(b.shift(1)), str(a))]
@@ -214,32 +214,35 @@ def _identity_failure(g, chi_a, chi_b):
 def _identity_scan(l, max_edges, gain_bound):
     """Every gain graph on 1..l within the bounds, with both its chi.
 
-    Walks edge subsets in ascending ground-set order, yielding (graph,
-    affinographic chi, bias chi).  Adding edge e on top of subset S turns
-    chi(S) into chi(S + e) = chi(S) - chi((S + e)/e), so each node costs
-    one contraction instead of a full recursion.
+    Walks edge subsets depth first in ascending ground-set order, yielding
+    (graph, affinographic chi, bias chi).  Adding edge e on top of subset S
+    turns chi(S) into chi(S + e) = chi(S) - chi((S + e)/e): one memo lookup.
+    contract_edge maps each class on its own, to a class or to a loop (as e
+    itself), then drops the loops and merges duplicates.  So (S + e)/e is
+    the set of the images of S's classes, read from a table that
+    contract_edge fills once per scan on the two-class graphs (f, e).
     """
     verts = tuple(range(1, l + 1))
     ground = z_ground_set(l, gain_bound)
-
-    def rec(start, g, chi_a, chi_b):
+    table = []
+    for k, e in enumerate(ground):
+        twos = [GainGraph._make((GROUP_Z, verts, (f, e))) for f in ground[:k]]
+        image = {t.edges[0]: contract_edge(t, e).edges for t in twos}
+        image = {f: c[0] for f, c in image.items() if c}  # loops dropped
+        table.append((k + 1, e, tuple(v for v in verts if v != e[0]), image))
+    empty = GainGraph._make((GROUP_Z, verts, ()))
+    stack = [(0, empty, IntPolynomial.t_power(l), IntPolynomial.from_roots([1] * l))]
+    while stack:
+        start, g, chi_a, chi_b = stack.pop()
         yield g, chi_a, chi_b
         if len(g.edges) == max_edges:
-            return
-        for k in range(start, len(ground)):
-            e = ground[k]
+            continue
+        # pushed last to first, so the children pop in ascending order
+        for after, e, rest, image in reversed(table[start:]):
+            merged = tuple(sorted({image[f] for f in g.edges if f in image}))
+            a, b = _chi_rec(GainGraph._make((GROUP_Z, rest, merged)))
             child = GainGraph._make((GROUP_Z, verts, g.edges + (e,)))
-            contracted = contract_edge(child, e)
-            yield from rec(
-                k + 1,
-                child,
-                chi_a - chi_gaingraph_recursive(contracted, "affinographic"),
-                chi_b - chi_gaingraph_recursive(contracted, "bias"),
-            )
-
-    empty = GainGraph._make((GROUP_Z, verts, ()))
-    edgeless_bias = IntPolynomial.from_roots([1] * l)
-    yield from rec(0, empty, IntPolynomial.t_power(l), edgeless_bias)
+            stack.append((after, child, chi_a - a, chi_b - b))
 
 
 def chi_identity_suite(
@@ -264,8 +267,7 @@ def chi_identity_suite(
             n, (g, a, b) = node
             fails = [] if _identity_holds(a, b) else _identity_failure(g, a, b)
             if cross_stride and n % cross_stride == 0:
-                ra = chi_gaingraph_recursive(g, "affinographic")
-                rb = chi_gaingraph_recursive(g, "bias")
+                ra, rb = _chi_rec(g)
                 if ra != a or rb != b:
                     cross_fails.append(
                         _fail(

@@ -1,6 +1,7 @@
 """Edge-following freeness deciders and their replayable certificates."""
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -369,3 +370,14 @@ def test_replay_rejects_a_step_that_is_not_a_mapping():
     assert replay_certificate(cert, g)
     with pytest.raises(VerificationError, match="not a mapping"):
         replay_certificate(cert._replace(steps=cert.steps + (None,)), g)
+
+
+root_tuples = st.lists(st.integers(0, 5), max_size=6).map(lambda r: tuple(sorted(r)))
+
+
+@given(root_tuples, root_tuples, st.lists(st.booleans(), max_size=6))
+def test_included_is_multiset_inclusion(sub, sup, keep):
+    # the merge walk against the Counter definition on ascending tuples
+    assert freeness._included(sub, sup) == (not Counter(sub) - Counter(sup))
+    part = tuple(r for r, k in zip(sup, keep) if k)
+    assert freeness._included(part, sup)

@@ -1,5 +1,6 @@
 """Integer polynomials in one variable t."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,14 @@ from gainarr.intpoly import IntPolynomial, T
 coeff_lists = st.lists(st.integers(-50, 50), max_size=8)
 polys = coeff_lists.map(IntPolynomial)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
+polys_or_zero = st.one_of(st.just(IntPolynomial()), polys)
+
+
+def trimmed(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def reference_quotient(a, b):
@@ -116,3 +125,27 @@ def test_str_and_factored():
 def test_degree_of_zero():
     assert IntPolynomial(()).degree == -1
     assert IntPolynomial(()).is_zero
+
+
+@given(polys_or_zero, polys_or_zero)
+def test_sum_and_difference_are_coefficientwise(p, q):
+    n = max(len(p.coeffs), len(q.coeffs))
+    a = list(p.coeffs) + [0] * (n - len(p.coeffs))
+    b = list(q.coeffs) + [0] * (n - len(q.coeffs))
+    assert (p + q).coeffs == trimmed(x + y for x, y in zip(a, b))
+    assert (p - q).coeffs == trimmed(x - y for x, y in zip(a, b))
+    assert (-p).coeffs == tuple(-x for x in a[: len(p.coeffs)])
+    assert (p - p).coeffs == ()
+
+
+@given(polys_or_zero, st.integers(-20, 20))
+def test_shift_is_the_binomial_expansion(p, a):
+    # p(t + a) = sum_k c_k (t + a)^k, expanded coefficient by coefficient
+    c = p.coeffs
+    want = [
+        sum(c[k] * math.comb(k, i) * a ** (k - i) for k in range(i, len(c)))
+        for i in range(len(c))
+    ]
+    got = p.shift(a).coeffs
+    assert type(got) is tuple
+    assert got == trimmed(want)

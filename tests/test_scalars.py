@@ -21,6 +21,7 @@ from gainarr.scalars import (
     is_prime,
     nullspace,
     pivot_columns,
+    psub,
     rank_of_rows,
     rref,
 )
@@ -322,3 +323,21 @@ def test_zero_row_keeps_q0_above_two():
     ]
     assert pivot_columns(D, rows) == rref(D, rows)[1] == [0, 1]
     assert rank_of_rows(D, rows) == 2
+
+
+# CyclotomicField passes psub Fraction lists that may end in zeros
+fraction_lists = st.tuples(
+    st.lists(st.fractions(max_denominator=6), max_size=5), st.integers(0, 2)
+).map(lambda t: t[0] + [Fraction(0)] * t[1])
+
+
+@given(fraction_lists, fraction_lists)
+def test_psub_on_fraction_lists_is_the_trimmed_difference(a, b):
+    n = max(len(a), len(b))
+    diff = [
+        (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)
+    ]
+    while diff and diff[-1] == 0:
+        diff.pop()
+    assert psub(a, b) == tuple(diff)
+    assert psub(a, a) == ()

@@ -5,7 +5,9 @@ import inspect
 import pytest
 
 from gainarr import lowdim, verify
-from gainarr.intpoly import ONE
+from gainarr.charpoly import _chi_rec
+from gainarr.corpus import iter_z_graphs
+from gainarr.intpoly import ONE, IntPolynomial
 from gainarr.scalars import QQ_Q
 
 
@@ -96,19 +98,61 @@ def test_coincidence_disagreement_is_reported_not_raised(monkeypatch):
 
 
 def test_incremental_only_identity_failure_carries_the_incremental_chi(monkeypatch):
-    real = verify.chi_gaingraph_recursive
+    real = verify._chi_rec
 
-    def wrong_bias(g, kind):
-        chi = real(g, kind)
-        if kind == "bias" and g.n_vertices == 2 and len(g.edges) >= 2:
-            return chi + ONE
-        return chi
+    def wrong_bias(g):
+        a, b = real(g)
+        if g.n_vertices == 2 and len(g.edges) >= 2:
+            return a, b + ONE
+        return a, b
 
     # 3-vertex graphs keep their library chi but inherit wrong incremental
     # values from their 2-vertex contractions
-    monkeypatch.setattr(verify, "chi_gaingraph_recursive", wrong_bias)
+    monkeypatch.setattr(verify, "_chi_rec", wrong_bias)
     report = verify.chi_identity_suite(3, 3, 1, cross_stride=5, random_count=2)
     fails = [f for f in report["failures"] if f["check"] == "shift-identity"]
     assert any(f["instance"]["vertices"] == 3 for f in fails)
     for fail in fails:
         assert fail["expected"] != fail["got"]
+
+
+SCAN_BOUNDS = [
+    (l, max_edges, gain_bound)
+    for l in (1, 2, 3)
+    for max_edges in range(5)
+    for gain_bound in (0, 1)
+] + [(4, 3, 1)]
+
+
+@pytest.mark.parametrize("l, max_edges, gain_bound", SCAN_BOUNDS)
+def test_identity_scan_matches_the_corpus_and_the_library_chi(l, max_edges, gain_bound):
+    # every node, not every cross_stride-th: the contraction table and the
+    # incremental chi against the library recursion
+    scanned = list(verify._identity_scan(l, max_edges, gain_bound))
+    graphs = [g for g, _, _ in scanned]
+    assert sorted(graphs) == sorted(iter_z_graphs(l, max_edges, gain_bound))
+    assert len(set(graphs)) == len(graphs)
+    for g, chi_a, chi_b in scanned:
+        assert (chi_a, chi_b) == _chi_rec(g), g
+
+
+def test_every_identity_instance_runs_its_own_shift(monkeypatch):
+    # no fast path may memoize or skip the per-instance identity test
+    real = IntPolynomial.shift
+    calls = []
+
+    def counted(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(IntPolynomial, "shift", counted)
+    report = verify.chi_identity_suite(3, 3, 1, random_count=2)
+    assert report["passed"]
+    checked = sum(
+        c["instances"]
+        for c in report["checks"]
+        if c["name"].startswith(("z-exhaustive-", "f2-exhaustive-"))
+        or c["name"] == "z-random-large"
+    )
+    assert checked > 0
+    assert len(calls) == checked
