@@ -21,8 +21,9 @@ of free arrangements stay free).
 One decider node serves both kinds: each graph is analyzed once, into a
 pair of per-kind verdict records, and the deletion and contraction of
 each edge are built at most once per node, on first use, for all four
-searches.  Records keep only verdicts; chi comes from charpoly's memo,
-which holds both kinds of a graph in one entry, and roots from _roots_of.
+searches.  Records keep only verdicts; _sides reads chi and roots of
+both kinds from one memo on charpoly's interned chi pair, and the
+forbidden scan builds its subgraphs on 1..k, so equal ones share it.
 
 A search reads and writes the memo its _Budget carries; the node cap
 bounds the graphs it analyzes afresh.  freeness_verdicts shares one memo
@@ -37,9 +38,9 @@ both the search and replay_certificate apply; one walk, _walk, collects
 a yes-certificate's steps and a no-certificate's search tree.
 
 Memo values are hash-consed: chi and roots come from memos that hold one
-object per distinct value, and each per-kind record and each record pair
-is interned, so graphs with equal analyses share one immutable record.
-clear_caches() empties the interning table with the memos.
+object per distinct chi or chi pair, and each per-kind record and record
+pair is interned, so graphs with equal analyses share one immutable
+record.  clear_caches() empties the interning table with the memos.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ from collections import namedtuple
 from collections.abc import Mapping
 from functools import lru_cache
 
-from .charpoly import chi_of_kind
+from .charpoly import _chi_rec, _cone
 from .errors import GraphError, SearchBudgetExceeded, VerificationError
-from .gaingraph import MAX_SCAN_VERTICES, GainGraph, contract_edge, induced_subgraph
+from .gaingraph import MAX_SCAN_VERTICES, GainGraph, contract_edge
 
 DEFAULT_NODE_CAP = 100_000
 
@@ -69,12 +70,6 @@ CHI_NON_DIVISION = "chi non-division"
 NON_INTEGER_ROOTS = "non-integer chi roots"
 FORBIDDEN_SUBSTRUCTURE = "forbidden substructure"
 NO_ADMISSIBLE_EDGE = "no admissible edge"
-
-
-def normalize_kind(kind):
-    if kind not in KINDS:
-        raise GraphError(f"unknown arrangement kind {kind!r}")
-    return kind
 
 
 def _included(sub, sup):
@@ -108,7 +103,7 @@ _RECORDS = {}
 
 
 def clear_caches():
-    _roots_of.cache_clear()
+    _sides_of.cache_clear()
     _ANALYSIS.clear()
     _RECORDS.clear()
 
@@ -117,11 +112,19 @@ def _intern(value):
     return _RECORDS.setdefault(value, value)
 
 
+def _sides(graph):
+    """(chi, roots) of graph per entry of KINDS; roots a tuple or None."""
+    return _sides_of(_chi_rec(graph))
+
+
 @lru_cache(maxsize=None)
-def _roots_of(poly):
-    """The integer roots of poly as a tuple, or None; shared, so immutable."""
-    roots = poly.integer_roots()
-    return None if roots is None else tuple(roots)
+def _sides_of(pair):
+    """_sides on _chi_rec's interned pair; shared, so immutable."""
+    sides = []
+    for chi in (_cone(pair[0]), pair[1]):
+        roots = chi.integer_roots()
+        sides.append((chi, None if roots is None else tuple(roots)))
+    return tuple(sides)
 
 
 class _KindNode(namedtuple("_KindNode", "inductive divisional")):
@@ -137,9 +140,9 @@ class _KindNode(namedtuple("_KindNode", "inductive divisional")):
 def _analyze(graph, budget):
     """Shared decider node: a _KindNode per entry of KINDS, in that order.
 
-    The deletion and contraction of an edge are built on first use and
-    serve both deciders and both kinds; so do the induced subgraphs of the
-    forbidden-substructure scan.
+    The deletion and contraction of an edge, with their _sides, are built
+    on first use and serve both deciders and both kinds; so do the induced
+    subgraphs of the forbidden-substructure scan.
     """
     rec = budget.memo.get(graph)
     if rec is not None:
@@ -149,54 +152,54 @@ def _analyze(graph, budget):
     branches = [None] * len(edges)
 
     def branch(k):
-        pair = branches[k]
-        if pair is None:
-            pair = branches[k] = _branches(graph, edges[k])
-        return pair
+        b = branches[k]
+        if b is None:
+            deleted, contracted = _branches(graph, edges[k])
+            b = branches[k] = (deleted, contracted, _sides(deleted), _sides(contracted))
+        return b
 
     subgraphs = None
     nodes = []
-    for i, kind in enumerate(KINDS):
-        chi = chi_of_kind(graph, kind)
+    for i, side in enumerate(_sides(graph)):
         if not edges:
             inductive = divisional = (True, None, None)
-        elif _roots_of(chi) is None:
+        elif side[1] is None:
             inductive = divisional = (False, None, NON_INTEGER_ROOTS)
         else:
             if subgraphs is None:
                 subgraphs = _induced_subgraphs(graph)
-            if _forbidden_substructure(subgraphs, kind) is not None:
+            if _forbidden_substructure(subgraphs, i) is not None:
                 inductive = divisional = (False, None, FORBIDDEN_SUBSTRUCTURE)
             else:
-                inductive = _search("inductive", edges, branch, i, chi, budget)
-                divisional = _search("divisional", edges, branch, i, chi, budget)
+                inductive = _search("inductive", edges, branch, i, side, budget)
+                divisional = _search("divisional", edges, branch, i, side, budget)
         nodes.append(_intern(_KindNode(inductive, divisional)))
     rec = budget.memo[graph] = _intern(tuple(nodes))
     return rec
 
 
 def _induced_subgraphs(graph):
-    """(subset, subgraph) for every proper induced subgraph on at least 3
-    vertices that has an edge, in scan order."""
-    n = graph.n_vertices
-    if n > MAX_SCAN_VERTICES:
+    """(subset, _sides) of every proper induced subgraph on at least 3
+    vertices that has an edge, in scan order, each built on 1..k: relabeling
+    in order keeps every class canonical, the edge order and chi."""
+    group, vertices, edges = graph
+    if len(vertices) > MAX_SCAN_VERTICES:
         return ()
     out = []
-    for size in range(3, n):
-        for subset in itertools.combinations(graph.vertices, size):
-            sg = induced_subgraph(graph, subset)
-            if sg.edges:
-                out.append((subset, sg))
+    for size in range(3, len(vertices)):
+        low = tuple(range(1, size + 1))
+        for subset in itertools.combinations(vertices, size):
+            at = dict(zip(subset, low))
+            es = tuple((at[i], at[j], g) for i, j, g in edges if i in at and j in at)
+            if es:
+                out.append((subset, _sides(GainGraph._make((group, low, es)))))
     return out
 
 
-def _forbidden_substructure(subgraphs, kind):
-    """The first induced subgraph with non-splitting chi, if one exists."""
-    for subset, sg in subgraphs:
-        chi_sub = chi_of_kind(sg, kind)
-        if _roots_of(chi_sub) is None:
-            return (subset, chi_sub)
-    return None
+def _forbidden_substructure(subgraphs, i):
+    """(subset, chi) of the first induced subgraph whose chi of kind
+    KINDS[i] does not split, or None."""
+    return next(((sub, s[i][0]) for sub, s in subgraphs if s[i][1] is None), None)
 
 
 def _branches(graph, e):
@@ -206,27 +209,38 @@ def _branches(graph, e):
     return deleted, contract_edge(graph, e)
 
 
-def _local_failure(decider, kind, deleted, contracted, chi):
+def _local_failure(decider, side, deleted, contracted):
     """The first local condition of the decider that an edge fails, or None.
 
-    inductive: both branch chi split and the contraction's exponents are
-    contained in the deletion's; divisional: the contraction's chi divides
-    chi.  The search and the replay both apply this rule.
+    side, deleted, contracted: one kind's (chi, roots) of the graph and its
+    branches.  inductive: both branch chi split and the contraction's
+    exponents are contained in the deletion's; divisional: the
+    contraction's chi divides chi.  The search and the replay both apply it.
+
+    Divisibility is read off the roots.  Every chi is monic: the recursion
+    subtracts lower-degree terms from t^n or (t - 1)^n, and the cone
+    multiplies by t - 1.  If chi splits as prod (t - r_i), its monic
+    divisors in the factorial ring Z[t] are the products over sub-multisets
+    of the r_i.  So chi(G/e) divides chi exactly when it splits with roots
+    included in the r_i.  Only a replayed step can have a chi that does
+    not split; it falls back to the division.
     """
     if decider != "inductive":
-        return None if chi_of_kind(contracted, kind).divides(chi) else CHI_NON_DIVISION
-    roots_del = _roots_of(chi_of_kind(deleted, kind))
-    if roots_del is None:
+        if side[1] is None:
+            ok = contracted[0].divides(side[0])
+        else:
+            ok = contracted[1] is not None and _included(contracted[1], side[1])
+        return None if ok else CHI_NON_DIVISION
+    if deleted[1] is None:
         return DEL_CHI_NON_SPLIT
-    roots_con = _roots_of(chi_of_kind(contracted, kind))
-    if roots_con is None:
+    if contracted[1] is None:
         return CON_CHI_NON_SPLIT
-    if not _included(roots_con, roots_del):
+    if not _included(contracted[1], deleted[1]):
         return EXP_NON_INCLUSION
     return None
 
 
-def _search(decider, edges, branch, i, chi, budget):
+def _search(decider, edges, branch, i, side, budget):
     """(verdict, pivot, per-edge failures) of the decider at one node.
 
     An edge qualifies when it passes the local rule and its contraction,
@@ -234,8 +248,8 @@ def _search(decider, edges, branch, i, chi, budget):
     """
     fails = []
     for k, e in enumerate(edges):
-        deleted, contracted = branch(k)
-        code = _local_failure(decider, KINDS[i], deleted, contracted, chi)
+        deleted, contracted, s_del, s_con = branch(k)
+        code = _local_failure(decider, side, s_del[i], s_con[i])
         if code is None and not getattr(_analyze(contracted, budget)[i], decider)[0]:
             code = CON_NOT_FREE
         if code is None and decider == "inductive":
@@ -299,10 +313,10 @@ def _walk(graph, decider, i, verdict, memo):
             if verdict:
                 raise VerificationError("witness walk reached a refuted subgraph")
             continue
-        chi = chi_of_kind(g, KINDS[i])
+        chi, roots = _sides(g)[i]
         entry = {"vertices": g.vertices, "edges": g.edges, "chi": str(chi)}
         if verdict:
-            entry.update(pivot=pivot, exponents=list(_roots_of(chi)))
+            entry.update(pivot=pivot, exponents=list(roots))
             if pivot is not None:
                 deleted, contracted = _branches(g, pivot)
                 if decider == "inductive":
@@ -323,15 +337,17 @@ def _walk(graph, decider, i, verdict, memo):
 
 
 def _certify(graph, decider, kind, node_cap):
-    i = KINDS.index(normalize_kind(kind))
+    if kind not in KINDS:
+        raise GraphError(f"unknown arrangement kind {kind!r}")
+    i = KINDS.index(kind)
     budget = _Budget(node_cap, {})
     verdict, _, detail = getattr(_analyze(graph, budget)[i], decider)
-    chi = chi_of_kind(graph, kind)
+    chi, roots = _sides(graph)[i]
     steps = ()
     if detail == NON_INTEGER_ROOTS:
         refutation = {"reason": detail, "chi": str(chi)}
     elif detail == FORBIDDEN_SUBSTRUCTURE:
-        subset, chi_sub = _forbidden_substructure(_induced_subgraphs(graph), kind)
+        subset, chi_sub = _forbidden_substructure(_induced_subgraphs(graph), i)
         refutation = {"reason": detail, "subset": subset, "subgraph_chi": str(chi_sub)}
     else:
         walk = _walk(graph, decider, i, verdict, budget.memo)
@@ -349,7 +365,7 @@ def _certify(graph, decider, kind, node_cap):
         graph_key=tuple(graph),
         verdict=verdict,
         chi=chi,
-        exponents=_fresh(_roots_of(chi)),
+        exponents=None if roots is None else list(roots),
         steps=steps,
         refutation=refutation,
         nodes_explored=budget.used,
@@ -372,19 +388,11 @@ def freeness_verdicts(graph):
     "nodes" counts the graphs this call analyzed afresh, not memoized."""
     budget = _Budget(float("inf"), _ANALYSIS)
     rec = _analyze(graph, budget)
-    chis = {k: chi_of_kind(graph, k) for k in KINDS}
     return {
         "if": {k: n.inductive[0] for k, n in zip(KINDS, rec)},
         "df": {k: n.divisional[0] for k, n in zip(KINDS, rec)},
-        "chi": chis,
-        "exponents": {k: _fresh(_roots_of(c)) for k, c in chis.items()},
         "nodes": budget.used,
     }
-
-
-def _fresh(roots):
-    """A caller's own list of the memoized roots, or None."""
-    return None if roots is None else list(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +407,9 @@ def replay_certificate(cert, graph):
     graphs.  Raises VerificationError on any mismatch or on a step that is
     not a mapping or lacks a field, returns True.
     """
-    if cert.decider not in ("inductive", "divisional"):
-        raise VerificationError(f"unknown decider {cert.decider!r}")
+    decider, kind = cert.decider, cert.kind
+    if decider not in ("inductive", "divisional") or kind not in KINDS:
+        raise VerificationError(f"unknown decider {decider!r} or kind {kind!r}")
     if not cert.verdict:
         raise VerificationError("only yes-certificates replay")
     for s in cert.steps:
@@ -409,7 +418,7 @@ def replay_certificate(cert, graph):
         missing = sorted({"vertices", "edges", "chi", "exponents", "pivot"} - s.keys())
         if missing:
             raise VerificationError(f"certificate step lacks {', '.join(missing)}")
-    kind = cert.kind
+    i = KINDS.index(kind)
     steps = {
         GainGraph(graph.group, s["vertices"], s["edges"]): s for s in cert.steps
     }
@@ -417,10 +426,10 @@ def replay_certificate(cert, graph):
     if root != graph or root not in steps:
         raise VerificationError("certificate does not start at the graph")
     for g, s in steps.items():
-        chi = chi_of_kind(g, kind)
+        chi, roots = side = _sides(g)[i]
         if str(chi) != s["chi"]:
             raise VerificationError(f"chi mismatch at {tuple(g)}")
-        if tuple(chi.integer_roots() or ()) != tuple(s["exponents"]):
+        if (roots or ()) != tuple(s["exponents"]):
             raise VerificationError(f"exponent mismatch at {tuple(g)}")
         pivot = s["pivot"]
         if pivot is None:
@@ -430,12 +439,12 @@ def replay_certificate(cert, graph):
         if tuple(pivot) not in g.edges:
             raise VerificationError(f"pivot {pivot} not an edge of {tuple(g)}")
         deleted, contracted = _branches(g, tuple(pivot))
-        code = _local_failure(cert.decider, kind, deleted, contracted, chi)
+        code = _local_failure(decider, side, _sides(deleted)[i], _sides(contracted)[i])
         if code is not None:
             raise VerificationError(
                 f"pivot {pivot} of {tuple(g)} fails on replay: {code}"
             )
-        needed = (deleted, contracted) if cert.decider == "inductive" else (contracted,)
+        needed = (deleted, contracted) if decider == "inductive" else (contracted,)
         if any(b not in steps for b in needed):
             raise VerificationError("branch missing from certificate")
     return True

@@ -220,16 +220,21 @@ def _identity_scan(l, max_edges, gain_bound):
     contract_edge maps each class on its own, to a class or to a loop (as e
     itself), then drops the loops and merges duplicates.  So (S + e)/e is
     the set of the images of S's classes, read from a table that
-    contract_edge fills once per scan on the two-class graphs (f, e).
+    contract_edge fills once per scan on the two-class graphs (f, e), on
+    1..l-1: relabeling in order keeps every class canonical, the edge
+    order and chi, and lets contractions on other vertex sets share keys.
     """
     verts = tuple(range(1, l + 1))
     ground = z_ground_set(l, gain_bound)
     table = []
     for k, e in enumerate(ground):
+        lower = {v: v - (v > e[0]) for v in verts}
         twos = [GainGraph._make((GROUP_Z, verts, (f, e))) for f in ground[:k]]
         image = {t.edges[0]: contract_edge(t, e).edges for t in twos}
-        image = {f: c[0] for f, c in image.items() if c}  # loops dropped
-        table.append((k + 1, e, tuple(v for v in verts if v != e[0]), image))
+        # a class that became a loop has no edge and drops out
+        image = {f: (lower[a], lower[b], g) for f, c in image.items() for a, b, g in c}
+        table.append((k + 1, e, image))
+    rest = verts[:-1]
     empty = GainGraph._make((GROUP_Z, verts, ()))
     stack = [(0, empty, IntPolynomial.t_power(l), IntPolynomial.from_roots([1] * l))]
     while stack:
@@ -238,7 +243,7 @@ def _identity_scan(l, max_edges, gain_bound):
         if len(g.edges) == max_edges:
             continue
         # pushed last to first, so the children pop in ascending order
-        for after, e, rest, image in reversed(table[start:]):
+        for after, e, image in reversed(table[start:]):
             merged = tuple(sorted({image[f] for f in g.edges if f in image}))
             a, b = _chi_rec(GainGraph._make((GROUP_Z, rest, merged)))
             child = GainGraph._make((GROUP_Z, verts, g.edges + (e,)))

@@ -1,5 +1,6 @@
 """Edge-following freeness deciders and their replayable certificates."""
 
+import itertools
 import json
 from collections import Counter
 
@@ -20,7 +21,8 @@ from gainarr.freeness import (
     if_along_edges,
     replay_certificate,
 )
-from gainarr.gaingraph import GROUP_Z, GainGraph, group_f
+from gainarr.corpus import iter_f2_graphs, iter_z_graphs
+from gainarr.gaingraph import GROUP_Z, GainGraph, group_f, induced_subgraph
 from gainarr.intpoly import IntPolynomial
 from gainarr.verify import kind_agreement_suite
 
@@ -179,6 +181,14 @@ def test_replay_rejects_an_unknown_decider(decide):
         replay_certificate(cert._replace(decider="bogus"), g)
 
 
+@pytest.mark.parametrize("kind", ["bogus", "affinographic"])
+def test_replay_rejects_an_unknown_kind(kind):
+    g = braid(3)
+    cert = if_along_edges(g, "cone")
+    with pytest.raises(VerificationError, match=repr(kind)):
+        replay_certificate(cert._replace(kind=kind), g)
+
+
 def test_no_certificates_do_not_replay():
     cert = if_along_edges(path_digraph_graph(), "cone")
     with pytest.raises(VerificationError):
@@ -249,11 +259,11 @@ def test_mutating_exponents_leaves_later_answers_unchanged():
     want = list(cert.exponents)
     cert.exponents.append(99)
     cert.steps[0]["exponents"].append(99)
-    freeness_verdicts(g)["exponents"]["cone"].append(99)
+    df_along_edges(g).exponents.append(99)
     again = if_along_edges(g)
     assert again.exponents == want
     assert again.steps[0]["exponents"] == want
-    assert freeness_verdicts(g)["exponents"]["cone"] == want
+    assert df_along_edges(g).exponents == want
     assert replay_certificate(again, g)
 
 
@@ -381,3 +391,89 @@ def test_included_is_multiset_inclusion(sub, sup, keep):
     assert freeness._included(sub, sup) == (not Counter(sub) - Counter(sup))
     part = tuple(r for r, k in zip(sup, keep) if k)
     assert freeness._included(part, sup)
+
+
+def test_divisibility_from_roots_matches_the_division():
+    # the divisional rule reads divisibility off the roots; the slow path
+    # divides, on every edge of the small corpora and on both kinds
+    seen = 0
+    for g in itertools.chain(iter_z_graphs(3, 4, 1), iter_f2_graphs(3)):
+        for e in g.edges:
+            contracted = freeness._branches(g, e)[1]
+            sides, s_con = freeness._sides(g), freeness._sides(contracted)
+            for i, kind in enumerate(freeness.KINDS):
+                fast = freeness._local_failure("divisional", sides[i], None, s_con[i])
+                slow = charpoly.chi_of_kind(contracted, kind).divides(sides[i][0])
+                assert (fast is None) == slow, (g, e, kind)
+                seen += 1
+    assert seen == 2 * 1029  # (graph, edge) pairs, each on both kinds
+
+
+small_roots = st.lists(st.integers(0, 4), max_size=5).map(lambda r: tuple(sorted(r)))
+non_split = st.sampled_from([(1,), (1, 0, 1), (-2, 0, 1), (3, 1), (1, 1, 1)])
+
+
+@given(small_roots, small_roots, non_split)
+def test_roots_rule_is_monic_division(roots, sub, extra):
+    # chi splits with the given roots; a monic candidate divisor splits, or
+    # carries a factor without nonnegative integer roots
+    chi = IntPolynomial.from_roots(roots)
+    cand = IntPolynomial.from_roots(sub) * IntPolynomial(extra)
+    cand_roots = cand.integer_roots()
+    side = (cand, None if cand_roots is None else tuple(cand_roots))
+    fast = freeness._local_failure("divisional", (chi, roots), None, side)
+    assert (fast is None) == cand.divides(chi)
+
+
+def test_induced_subgraphs_are_relabeled_with_their_chi(monkeypatch):
+    # every chi lookup of the forbidden scan is on 1..k, and each relabeled
+    # subgraph has the chi pair of the subgraph on its original labels
+    looked_up = []
+    monkeypatch.setattr(
+        freeness, "_chi_rec", lambda h: looked_up.append(h) or charpoly._chi_rec(h)
+    )
+    for g in itertools.chain(iter_z_graphs(4, 4, 1), iter_f2_graphs(4)):
+        looked_up.clear()
+        scanned = freeness._induced_subgraphs(g)
+        assert len(looked_up) == len(scanned)
+        for h, (subset, sides) in zip(looked_up, scanned):
+            original = induced_subgraph(g, subset)
+            assert h.vertices == tuple(range(1, len(subset) + 1))
+            assert len(h.edges) == len(original.edges)
+            assert charpoly._chi_rec(h) == charpoly._chi_rec(original)
+            assert sides == freeness._sides(original)
+
+
+def test_small_kind_agreement_makes_no_division(monkeypatch):
+    # every searched node's chi splits, so divisibility comes from the roots
+    calls = []
+    real = IntPolynomial.divides
+    monkeypatch.setattr(
+        IntPolynomial, "divides", lambda p, q: calls.append(p) or real(p, q)
+    )
+    clear_caches()
+    assert kind_agreement_suite(max_vertices=3, max_edges=3, gain_bound=1)["passed"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("decide", [if_along_edges, df_along_edges])
+@pytest.mark.parametrize("kind", ["cone", "bias"])
+def test_forbidden_certificate_reports_the_original_labels(decide, kind):
+    # the scan builds the subgraph on {1, 2, 4} as one on 1..3; the
+    # certificate names the subset on the graph's own labels, also when
+    # those are not 1..n
+    label = {1: 2, 2: 3, 3: 5, 4: 8}
+    moved = GainGraph(
+        FORBIDDEN_SUB_GRAPH.group,
+        [label[v] for v in FORBIDDEN_SUB_GRAPH.vertices],
+        [(label[i], label[j], g) for i, j, g in FORBIDDEN_SUB_GRAPH.edges],
+    )
+    for g, subset in ((FORBIDDEN_SUB_GRAPH, (1, 2, 4)), (moved, (2, 3, 8))):
+        cert = decide(g, kind)
+        want = charpoly.chi_of_kind(induced_subgraph(g, subset), kind)
+        assert want.integer_roots() is None
+        assert cert.refutation == {
+            "reason": FORBIDDEN_SUBSTRUCTURE,
+            "subset": subset,
+            "subgraph_chi": str(want),
+        }

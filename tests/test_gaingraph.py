@@ -263,7 +263,7 @@ def test_clear_caches_empties_every_memo():
     g = GainGraph(GROUP_Z, (1, 2, 3), [(1, 2, 0), (2, 3, 1)])
     freeness.freeness_verdicts(g)
     lowdim.coincidence_3dim(g)
-    memos = (charpoly._chi_rec, charpoly._cone, freeness._roots_of, lowdim._exp2)
+    memos = (charpoly._chi_rec, charpoly._cone, freeness._sides_of, lowdim._exp2)
     tables = (charpoly._INTERNED, freeness._ANALYSIS, freeness._RECORDS)
     assert all(m.cache_info().currsize > 0 for m in memos)
     assert all(tables)

@@ -6,7 +6,8 @@ import pytest
 
 from gainarr import lowdim, verify
 from gainarr.charpoly import _chi_rec
-from gainarr.corpus import iter_z_graphs
+from gainarr.corpus import iter_z_graphs, z_ground_set
+from gainarr.gaingraph import GROUP_Z, GainGraph, contract_edge
 from gainarr.intpoly import ONE, IntPolynomial
 from gainarr.scalars import QQ_Q
 
@@ -134,6 +135,35 @@ def test_identity_scan_matches_the_corpus_and_the_library_chi(l, max_edges, gain
     assert len(set(graphs)) == len(graphs)
     for g, chi_a, chi_b in scanned:
         assert (chi_a, chi_b) == _chi_rec(g), g
+
+
+def test_identity_scan_contractions_keep_their_chi_on_1_to_l_minus_1(monkeypatch):
+    # the table relabels each contraction (S + e)/e onto 1..l-1; every
+    # lookup has the chi pair of the contraction on its original labels
+    l, max_edges, gain_bound = 4, 4, 1
+    ground = z_ground_set(l, gain_bound)
+    looked_up = []
+    monkeypatch.setattr(
+        verify, "_chi_rec", lambda h: looked_up.append(h) or _chi_rec(h)
+    )
+    scan = verify._identity_scan(l, max_edges, gain_bound)
+    node, count = next(scan), 0
+    while node is not None:
+        g = node[0]
+        looked_up.clear()
+        # resuming after g looks up g's children, last ground class first
+        node = next(scan, None)
+        start = ground.index(g.edges[-1]) + 1 if g.edges else 0
+        added = [] if len(g.edges) == max_edges else ground[start:][::-1]
+        assert len(looked_up) == len(added)
+        for h, e in zip(looked_up, added):
+            child = GainGraph._make((GROUP_Z, g.vertices, g.edges + (e,)))
+            original = contract_edge(child, e)
+            assert h.vertices == tuple(range(1, l))
+            assert len(h.edges) == len(original.edges)
+            assert _chi_rec(h) == _chi_rec(original), (g, e)
+            count += 1
+    assert count == len(list(iter_z_graphs(l, max_edges, gain_bound))) - 1
 
 
 def test_every_identity_instance_runs_its_own_shift(monkeypatch):
