@@ -1,33 +1,32 @@
-"""Rank-2 multiarrangement exponents and the rank-3 freeness test.
+"""Derivation modules of multiarrangements, rank-2 exponents and the
+rank-3 freeness test.
 
-Rank-2 multiarrangements are always free; their exponent pair (d1, d2)
-satisfies d1 + d2 = |m|, so the solver reads both off one kernel
-dimension, at degree floor((|m| - 1) / 2); exp2_solver states the
-argument.  A derivation theta = P1 d/dx + P2 d/dy with homogeneous
-degree-d coefficients lies in D(A, m) iff alpha^m(H) divides
-theta(alpha) for every line; those are linear conditions on the
-coefficients of P1, P2, expressed here through exact remainder expansion
-(binomial coefficients, valid in any characteristic).  exp2_three_lines,
-exp2_many_lines and exp2_q_powers are known exponents of special shapes,
-computed from the shape parameters alone.
+theta = sum f_i d/dx_i in ell variables lies in D(A, m) iff alpha^m(alpha)
+divides theta(alpha) for every member; _condition_rows writes that, for
+f_i of degree d, as linear conditions by substituting each member's pivot
+variable, and nullspace reads their kernel off SpanTracker.
+_is_saito_basis is Saito's criterion as one rank: ell derivations with
+degrees summing to |m| are a basis iff their monomial multiples of degree
+|m| are independent.  exp2_solver, their rank-2 caller, reads both
+exponents off one kernel dimension; each states its argument.
+exp2_three_lines, exp2_many_lines and exp2_q_powers are known exponents of
+special shapes, computed from the shape parameters alone.
 
 yoshinaga_free3 decides freeness of a central arrangement of rank at most
 3, reading the rank from chi: rank <= 2 is free, and rank 3 is free iff
 chi = t^(dim - 3) (t - 1)(t - d1)(t - d2) with integer d1, d2 and the
-Ziegler restriction to any member has exponents exactly (d1, d2).  Only
-that restriction essentializes, in one pivot pass.
-
-coincidence_3dim runs it on the coned affinographic and the bias side of a
-3-vertex integer gain graph, built only where chi leaves the verdict open,
-and checks they agree.  Each stage takes the canonical members and the
-chi that the stage before it established.
+Ziegler restriction to any member has exponents exactly (d1, d2), which
+one pivot pass gives.  coincidence_3dim runs it on the coned affinographic
+and the bias side of a 3-vertex integer gain graph, built only where chi
+leaves the verdict open, and checks they agree.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
-from functools import lru_cache
+from fractions import Fraction
+from functools import lru_cache, reduce
+from operator import add
 
 from .arrangement import (
     Hyperplane,
@@ -42,7 +41,7 @@ from .charpoly import _chi_rec, chi_of_kind, chi_poset
 from .errors import ArrangementError, BoundExceeded, GraphError, VerificationError
 from .gaingraph import GROUP_Z
 from .intpoly import IntPolynomial, T_MINUS_1
-from .scalars import QQ_Q, det, nullspace, rank_of_rows
+from .scalars import QQ, QQ_Q, det, nullspace, peval, rank_of_rows
 
 MULT_CAP = 30
 
@@ -52,11 +51,8 @@ def clear_caches():
 
 
 class Multiarrangement2D(namedtuple("Multiarrangement2D", "domain lines mults")):
-    """Lines through the origin of a plane with positive multiplicities.
-
-    lines are canonical coefficient pairs (a, b), first nonzero entry one;
-    mults is aligned with lines.
-    """
+    """Lines through the origin of a plane, canonical coefficient pairs
+    (a, b) with first nonzero entry one, and their positive multiplicities."""
 
     __slots__ = ()
 
@@ -65,11 +61,11 @@ class Multiarrangement2D(namedtuple("Multiarrangement2D", "domain lines mults"))
 
 
 def make_multiarrangement2d(domain, pairs):
-    """pairs: iterable of ((a, b), mult)."""
+    """pairs: iterable of ((a, b), mult), mult an int >= 1 (not a bool)."""
     combined = {}
     for (a, b), m in pairs:
-        if m <= 0:
-            raise ArrangementError("multiplicities must be positive")
+        if type(m) is not int or m < 1:
+            raise ArrangementError(f"multiplicities must be positive ints, got {m!r}")
         h = make_hyperplane(domain, (a, b), domain.zero)
         combined[h.coeffs] = combined.get(h.coeffs, 0) + m
     lines = tuple(sorted(combined))
@@ -82,43 +78,103 @@ def from_ziegler(arr2, mult):
     if arr2.dim != 2 or not arr2.is_central:
         raise ArrangementError("expected a central restriction to a plane")
     lines = tuple(h.coeffs for h in arr2.hyperplanes)
-    if len(mult.values) != len(lines) or not all(m > 0 for m in mult.values):
-        raise ArrangementError("expected one positive multiplicity per line")
-    return Multiarrangement2D(arr2.domain, lines, mult.values)
+    values = mult.values
+    if len(values) != len(lines) or any(type(m) is not int or m < 1 for m in values):
+        raise ArrangementError("expected one positive int multiplicity per line")
+    return Multiarrangement2D(arr2.domain, lines, values)
 
 
-def _condition_rows(domain, lines, mults, d):
-    """Linear conditions on (P1 coeffs, P2 coeffs) for theta in D(A, m).
+@lru_cache(maxsize=256)
+def _monomials(nvars, d):
+    """Degree-d exponent tuples, ascending: one coefficient block's columns."""
+    if nvars == 0:
+        return ((),) if d == 0 else ()
+    return tuple((i, *e) for i in range(d + 1) for e in _monomials(nvars - 1, d - i))
 
-    P = sum p_i x^i y^(d-i).  For a line x + c y the condition is that the
-    coefficients of u^r y^(d-r), r < m, vanish in F(u - c y, y) where
-    F = P1 + c P2; for the line y it is that P2's y-degree is at least m.
+
+def _condition_rows(domain, normals, mults, d):
+    """Linear conditions on theta = sum f_i d/dx_i, every f_i of degree d,
+    for theta in D(A, m); columns are f_0's coefficients, then f_1's, ...
+
+    For a member alpha with pivot p (its first nonzero entry, scaled to 1),
+    x_p = u + L, L = -sum_{j>p} a_j x_j, makes theta(alpha) a polynomial in
+    u and the other variables, and alpha^m divides it iff the coefficient
+    of u^r x^mu vanishes for every r < m: one row per such monomial,
+    u^r taking x_p's place.  x^e contributes the coefficient of
+    u^r x^(mu - e) in (u + L)^(e_p), over any field.
     """
     D = domain
-    width = 2 * (d + 1)
+    ell = len(normals[0]) if normals else 0
+    monos = _monomials(ell, d)
+    n = len(monos)
     rows = []
-    for (a, b), m in zip(lines, mults):
-        if D.is_zero(a):
-            # line y: F = P2, need y^m | P2, so p2_i = 0 for i > d - m
-            for i in range(max(0, d - m + 1), d + 1):
-                row = [D.zero] * width
-                row[(d + 1) + i] = D.one
-                rows.append(row)
-            continue
-        c = b  # canonical a = 1
-        negc = D.neg(c)
-        powers = [D.one]
+    for a, m in zip(normals, mults):
+        p = next(i for i, x in enumerate(a) if not D.is_zero(x))
+        a = a if D.eq(a[p], D.one) else [D.mul(D.inv(a[p]), x) for x in a]
+        tail = [(j, x, D.neg(x)) for j, x in enumerate(a) if j > p and not D.is_zero(x)]
+        powers = [{(0,) * ell: D.one}]  # (u + L)^k, its terms u^r with r < m
         for _ in range(d):
-            powers.append(D.mul(powers[-1], negc))
-        for r in range(min(m, d + 1)):
-            row = [D.zero] * width
-            for i in range(r, d + 1):
-                coef = D.mul(D.from_int(math.comb(i, r)), powers[i - r])
-                row[i] = coef
-                row[(d + 1) + i] = D.mul(c, coef)
-            rows.append(row)
-        # m > d + 1 needs no rows for r > d: the r <= d rows already force F = 0
+            nxt = {}
+            for nu, c in powers[-1].items():
+                moves = [(j, D.mul(c, neg)) for j, _, neg in tail]
+                if nu[p] + 1 < m:
+                    moves.append((p, c))
+                for j, v in moves:
+                    key = nu[:j] + (nu[j] + 1,) + nu[j + 1 :]
+                    nxt[key] = D.add(nxt[key], v) if key in nxt else v
+            powers.append(nxt)
+        block = {mu: [D.zero] * (ell * n) for mu in monos if mu[p] < m}
+        for col, e in enumerate(monos):
+            rest = e[:p] + (0,) + e[p + 1 :]
+            for nu, c in powers[e[p]].items():
+                row = block[tuple(map(add, rest, nu))]
+                row[p * n + col] = c
+                for j, x, _ in tail:
+                    row[j * n + col] = D.mul(x, c)
+        rows.extend(block.values())
     return rows
+
+
+def _is_saito_basis(domain, normals, mults, derivations):
+    """Whether ell derivations, (degree, vector in _condition_rows' columns)
+    pairs, with degrees d_j summing to |m| and passing their condition rows
+    (row . theta = 0), form a basis of D(A, m).  Their determinant is then
+    c Q, as alpha^m(alpha) divides it and both have degree |m|, so they are
+    a basis iff c != 0 (Saito; Ziegler, 1989), iff they are independent over
+    S.  At rank s < ell, a nonzero s x s minor and one more column give by
+    Cramer's rule a relation whose coefficient on theta_j is an s x s minor,
+    of degree <= |m| - d_j; times a monomial it has degree |m|.  So they are
+    a basis iff the multiples x^beta theta_j, |beta| = |m| - d_j, are
+    independent: one rank, exact over every field.  Over Q(q) it is first
+    taken at q = 2 if no denominator vanishes there: a minor's value is the
+    minor of the values, so full rank there is full rank; a drop proves
+    nothing, and rank_of_rows decides."""
+    D = domain
+    ell, total = len(derivations), sum(mults)
+    shapes = [len(theta) == ell * len(_monomials(ell, d)) for d, theta in derivations]
+    shapes += [len(a) == ell for a in normals]
+    if sum(d for d, _ in derivations) != total or not all(shapes):
+        return False
+    top = {e: k for k, e in enumerate(_monomials(ell, total))}
+    rows = []
+    for d, theta in derivations:
+        monos = _monomials(ell, d)
+        support = [(k, x) for k, x in enumerate(theta) if not D.is_zero(x)]
+        for row in _condition_rows(D, normals, mults, d):
+            dot = reduce(D.add, (D.mul(row[k], x) for k, x in support), D.zero)
+            if not D.is_zero(dot):
+                return False
+        for beta in _monomials(ell, total - d):
+            v = [D.zero] * (ell * len(top))
+            for k, x in support:
+                i, e = divmod(k, len(monos))
+                v[i * len(top) + top[tuple(map(add, monos[e], beta))]] = x
+            rows.append(v)
+    if D is QQ_Q and all(peval(den, 2) for r in rows for _, den in r):
+        at2 = [[Fraction(peval(n, 2), peval(den, 2)) for n, den in r] for r in rows]
+        if rank_of_rows(QQ, at2) == len(rows):
+            return True
+    return rank_of_rows(D, rows) == len(rows)
 
 
 def exp2_solver(multi, verify=False):
@@ -126,15 +182,14 @@ def exp2_solver(multi, verify=False):
 
     D(A, m) is free with d1 + d2 = |m| (Ziegler, 1989), so its degree-d
     part has the dimension h(d) = max(0, d - d1 + 1) + max(0, d - d2 + 1).
-    At d = floor((|m| - 1) / 2), d < |m|/2 <= d2, so the kernel of the
-    degree-d conditions has dimension k = max(0, d - d1 + 1): d1 = d + 1 - k.
-    k = 0 means d1 > d, so d1 >= |m|/2, which only even |m| allows, with
-    d1 = d2 = |m|/2.  A reading outside 0 <= k <= d + 1, or k = 0 with odd
-    |m|, raises VerificationError.  This covers no line, (0, 0) read at
-    d = -1, and one line, (0, m).  With verify=True the kernels at d1 and d2
-    must have dimension h, and a derivation pair of those degrees must pass
-    the Saito determinant identity det = c * Q, c nonzero; VerificationError
-    is raised otherwise.  |m| above MULT_CAP raises BoundExceeded.
+    At d = floor((|m| - 1) / 2) < |m|/2 <= d2 the kernel of the degree-d
+    conditions has dimension k = max(0, d - d1 + 1), so d1 = d + 1 - k; k = 0
+    means d1 >= |m|/2, which only even |m| allows, with d1 = d2 = |m|/2.  A
+    reading outside 0 <= k <= d + 1, or k = 0 with odd |m|, raises
+    VerificationError; no line reads (0, 0) at d = -1.  With verify=True the
+    kernels at d1 and d2 must have dimension h and a pair of their vectors
+    must pass _is_saito_basis, else VerificationError.  |m| above MULT_CAP
+    raises BoundExceeded.
     """
     total = multi.total()
     if total > MULT_CAP:
@@ -154,76 +209,22 @@ def _exp2(multi, verify):
     return _verify_pair(multi, d1, total - d1) if verify else (d1, total - d1)
 
 
-def _solve_at(multi, d, exponents):
-    """The degree-d derivations, as many as h(d) for these exponents."""
-    D = multi.domain
-    rows = _condition_rows(D, multi.lines, multi.mults, d)
-    basis = nullspace(D, rows, 2 * (d + 1))
-    want = sum(max(0, d - e + 1) for e in exponents)
-    if len(basis) != want:
-        raise VerificationError(f"degree-{d} kernel dimension {len(basis)}, not {want}")
-    return basis
-
-
 def _verify_pair(multi, d1, d2):
-    """Saito check: some derivation pair has determinant c * Q, c != 0."""
-    D = multi.domain
-    theta1 = _solve_at(multi, d1, (d1, d2))[0]
-    q_poly = _defining_product(multi)
-    for theta2 in _solve_at(multi, d2, (d1, d2)):
-        det_poly = _pair_determinant(D, theta1, d1, theta2, d2)
-        scalar = _proportional(D, det_poly, q_poly)
-        if scalar is not None and not D.is_zero(scalar):
+    """exp2_solver's verify=True check: the degree-d1 kernel's first vector
+    with the degree-d2 kernel's first, last, then others (second on if
+    d1 = d2); on the lowdim suite one of the first two is a basis."""
+    D, lines, mults = multi
+    ker = {}
+    for d in dict.fromkeys((d1, d2)):
+        ker[d] = nullspace(D, _condition_rows(D, lines, mults, d), 2 * d + 2)
+        got, want = len(ker[d]), max(0, d - d1 + 1) + max(0, d - d2 + 1)
+        if got != want:
+            raise VerificationError(f"degree-{d} kernel dimension {got}, not {want}")
+    theta1, second = ker[d1][0], ker[d2]
+    for theta2 in second[1:] if d1 == d2 else second[:1] + second[:0:-1]:
+        if _is_saito_basis(D, lines, mults, [(d1, theta1), (d2, theta2)]):
             return (d1, d2)
-    raise VerificationError(
-        f"Saito determinant check failed for exponents ({d1}, {d2})"
-    )
-
-
-def _defining_product(multi):
-    """Coefficients of prod alpha^m, homogeneous of degree |m|."""
-    D = multi.domain
-    poly = [D.one]  # coefficients of x^i y^(deg - i), ascending i
-    for (a, b), m in zip(multi.lines, multi.mults):
-        for _ in range(m):
-            poly = _hommul(D, poly, (b, a))  # times a x + b y
-    return poly
-
-
-def _hommul(D, p, q):
-    """Product of two binary forms given as coefficients of x^i y^(deg - i),
-    ascending i."""
-    out = [D.zero] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        if not D.is_zero(x):
-            for j, y in enumerate(q):
-                out[i + j] = D.add(out[i + j], D.mul(x, y))
-    return out
-
-
-def _pair_determinant(D, theta1, d1, theta2, d2):
-    """Coefficients of P1(1) P2(2) - P2(1) P1(2), degree d1 + d2."""
-    p1a, p2a = theta1[: d1 + 1], theta1[d1 + 1 :]
-    p1b, p2b = theta2[: d2 + 1], theta2[d2 + 1 :]
-    left = _hommul(D, p1a, p2b)
-    right = _hommul(D, p2a, p1b)
-    return [D.sub(x, y) for x, y in zip(left, right)]
-
-
-def _proportional(D, p, q):
-    """The scalar c with p = c q, or None; q is nonzero."""
-    lead = next((i for i, x in enumerate(q) if not D.is_zero(x)), None)
-    if lead is None:
-        raise VerificationError("zero defining polynomial")
-    if len(p) != len(q):
-        return None
-    if D.is_zero(p[lead]):
-        return D.zero if all(D.is_zero(x) for x in p) else None
-    c = D.mul(p[lead], D.inv(q[lead]))
-    for x, y in zip(p, q):
-        if not D.eq(x, D.mul(c, y)):
-            return None
-    return c
+    raise VerificationError(f"Saito check failed for exponents ({d1}, {d2})")
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +287,11 @@ def schur_bialternant_check(partition, gains):
     lam = lam + (0,) * (n - len(lam))
     if any(lam[i] < lam[i + 1] for i in range(n - 1)) or any(p < 0 for p in lam):
         raise ArrangementError("not a partition")
-    xs = [D.q_power(g) for g in gains]
-
-    def xpow(x, k):
-        out = D.one
-        for _ in range(k):
-            out = D.mul(out, x)
-        return out
-
-    alternant = det(
-        D, [[xpow(xs[i], lam[j] + n - 1 - j) for j in range(n)] for i in range(n)]
+    qp = D.q_power  # x_i^k = q^(g_i k); lambda = 0 gives the Vandermonde
+    alternant, vandermonde = (
+        det(D, [[qp(g * (mu[j] + n - 1 - j)) for j in range(n)] for g in gains])
+        for mu in (lam, (0,) * n)
     )
-    vandermonde = det(D, [[xpow(xs[i], n - 1 - j) for j in range(n)] for i in range(n)])
     if D.is_zero(vandermonde):
         raise ArrangementError("repeated points, Vandermonde vanishes")
 
@@ -305,20 +299,14 @@ def schur_bialternant_check(partition, gains):
     # no points: all three determinants are 0 x 0, and s_() = 1
     max_h = lam[0] + n if n else 0
     h = [D.one] + [D.zero] * max_h  # h of zero variables
-    for x in xs:
+    for x in map(qp, gains):
         new = list(h)
         for k in range(1, max_h + 1):
             new[k] = D.add(h[k], D.mul(x, new[k - 1]))
         h = new
 
-    def h_at(k):
-        if k < 0:
-            return D.zero
-        return h[k]
-
-    schur = det(
-        D, [[h_at(lam[i] - i + j) for j in range(n)] for i in range(n)]
-    )
+    jt = [[lam[i] - i + j for j in range(n)] for i in range(n)]
+    schur = det(D, [[h[k] if k >= 0 else D.zero for k in row] for row in jt])
     if not D.eq(alternant, D.mul(schur, vandermonde)):
         raise VerificationError(
             f"bialternant identity fails for {partition} at {gains}"

@@ -9,11 +9,11 @@ the domain object, which is a stateless singleton per field.  The ring Z
 (int payloads) carries only what the fraction-free SpanTracker, which
 never divides, asks of a domain: integer_image maps rows over Q, Q(zeta_2)
 and Q(q) to Z with every rank kept, and pivot_columns, rank_of_rows and
-the intersection poset eliminate there.  No production path runs a
-SpanTracker over Q(q); that tracker, kept small by
-RationalFunctions.row_primitive, is the exact reference path that the
-integer_image tests check against.  det and rref divide in the field, by
-one forward elimination that rref follows with back substitution.
+the intersection poset eliminate there.  nullspace runs a SpanTracker in
+the field itself, kept small over Q and Q(q) by row_primitive; over Q(q)
+that tracker is also the exact reference of the integer_image tests.
+det and rref divide in the field, by one forward elimination that rref
+follows with back substitution; rref is the reference for nullspace.
 
 Dense univariate polynomials over Z are represented as tuples of ints in
 ascending degree with no trailing zeros; the zero polynomial is ().  The
@@ -260,7 +260,13 @@ class Rationals:
         return a == b
 
     def row_primitive(self, vec):
-        return vec
+        """The row times the lcm of its denominators over the gcd of its
+        numerators: a primitive integer vector, as Z's row_primitive."""
+        m = math.lcm(*(x.denominator for x in vec))
+        g = math.gcd(*(x.numerator for x in vec))
+        if g == 0 or (m == 1 and g == 1):
+            return vec
+        return [Fraction(x.numerator * (m // x.denominator) // g) for x in vec]
 
     def __repr__(self):
         return "Q"
@@ -795,16 +801,21 @@ def rref(domain, rows):
 
 
 def nullspace(domain, rows, width):
-    """Basis of the right kernel of the given row list."""
+    """Basis of the right kernel, read off an in-domain SpanTracker: its rows
+    are back-eliminated, zero at the other rows' pivots, so each is its rref
+    row times row[p], and reduced echelon form is unique.  Per free column f,
+    v_f = 1 and v_p = -row[f] / row[p] for each row and its pivot p."""
     D = domain
-    red, pivots = rref(domain, rows)
-    free = [c for c in range(width) if c not in pivots]
+    t = SpanTracker(D, width)
+    for r in rows:
+        t.add(r)
     basis = []
-    for f in free:
+    for f in sorted(set(range(width)) - set(t.pivots)):
         v = [D.zero] * width
         v[f] = D.one
-        for row, p in zip(red, pivots):
-            v[p] = D.neg(row[f])
+        for row, p in zip(t.rows, t.pivots):
+            if not D.is_zero(row[f]):
+                v[p] = D.neg(D.mul(row[f], D.inv(row[p])))
         basis.append(v)
     return basis
 

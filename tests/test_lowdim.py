@@ -1,5 +1,6 @@
 """Rank-2 multiarrangement exponents and rank-3 freeness."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,7 @@ from gainarr.arrangement import (
     make_hyperplane,
     ziegler_restriction,
 )
-from gainarr.charpoly import chi_gaingraph_recursive, chi_of_kind
+from gainarr.charpoly import chi_gaingraph_recursive, chi_of_kind, chi_poset
 from gainarr.corpus import three_vertex_instances, vertex_pairs
 from gainarr.errors import (
     ArrangementError,
@@ -26,6 +27,7 @@ from gainarr.errors import (
     GraphError,
     VerificationError,
 )
+from gainarr.families import make_family
 from gainarr.gaingraph import GROUP_Z, GainGraph, group_f
 from gainarr.intpoly import IntPolynomial
 from gainarr.lowdim import (
@@ -42,7 +44,7 @@ from gainarr.lowdim import (
     schur_bialternant_check,
     yoshinaga_free3,
 )
-from gainarr.scalars import QQ, QQ_Q, nullspace, pivot_columns
+from gainarr.scalars import GF, QQ, QQ_Q, nullspace, pivot_columns, rank_of_rows
 
 X = (F(1), F(0))
 Y = (F(0), F(1))
@@ -84,8 +86,11 @@ def test_duplicate_lines_combine():
 
 
 def test_bad_multiplicity_rejected():
-    with pytest.raises(ArrangementError):
-        make_multiarrangement2d(QQ, [(X, 0)])
+    # an int >= 1 and not a bool: 1.5 used to pass the m <= 0 check and fail
+    # later in the solver, and True counted as 1
+    for m in (0, -1, 1.5, True, F(1), "1"):
+        with pytest.raises(ArrangementError):
+            make_multiarrangement2d(QQ, [(X, m)])
 
 
 def test_multiplicity_cap():
@@ -201,7 +206,8 @@ def test_solver_matches_q_powers_on_random_gains(u, data):
 
 def assert_hilbert_function(m):
     # every degree-d kernel has the dimension of the free module with the
-    # solver's exponents; nullspace's field rref, not the solver's rank
+    # solver's exponents; nullspace's in-domain elimination, checked against
+    # the solver's rank over the integer image
     D, total = m.domain, m.total()
     pair = exp2_solver(m)
     for d in range(total + 1):
@@ -233,21 +239,21 @@ def test_hilbert_function_over_qq(slopes, mults):
 q_slopes = [None, (0, 0)] + [(c, g) for c in (1, -1, 2) for g in range(-2, 3)]
 
 
+def q_line(s):
+    D = QQ_Q
+    if s is None:
+        return (D.zero, D.one)
+    c, g = s
+    return (D.one, D.mul(D.from_int(c), D.q_power(g)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(st.sampled_from(q_slopes), min_size=1, max_size=4, unique=True),
     st.lists(st.integers(1, 2), min_size=4, max_size=4),
 )
 def test_hilbert_function_over_q_of_q(slopes, mults):
-    D = QQ_Q
-
-    def line(s):
-        if s is None:
-            return (D.zero, D.one)
-        c, g = s
-        return (D.one, D.mul(D.from_int(c), D.q_power(g)))
-
-    m = make_multiarrangement2d(D, [(line(s), k) for s, k in zip(slopes, mults)])
+    m = make_multiarrangement2d(QQ_Q, [(q_line(s), k) for s, k in zip(slopes, mults)])
     assert_hilbert_function(m)
 
 
@@ -278,6 +284,164 @@ def test_solver_refuses_impossible_kernel_dimensions(monkeypatch):
     assert exp2_solver(m) == (1, 2)
 
 
+def test_condition_rows_scale_each_normal_to_its_pivot():
+    for d in range(4):
+        got = _condition_rows(QQ, [(F(2), F(4)), (F(0), F(3))], (2, 1), d)
+        want = _condition_rows(QQ, [(F(1), F(2)), Y], (2, 1), d)
+        assert nullspace(QQ, got, 2 * d + 2) == nullspace(QQ, want, 2 * d + 2)
+
+
+def test_verify_over_f2_where_every_point_is_on_a_line():
+    # x, y, x + y cover F2^2, so no point off the arrangement exists; the
+    # rank form of Saito's test needs none
+    m = make_multiarrangement2d(GF(2), [((1, 0), 1), ((0, 1), 1), ((1, 1), 2)])
+    assert exp2_solver(m, verify=True) == (2, 2)
+
+
+def assert_kernel_dims_follow_chi(arr, chi):
+    # a free arrangement's exponents are its chi roots (Terao), so the
+    # degree-d kernel in ell = arr.dim variables has the dimension
+    # sum C(d - e + ell - 1, ell - 1), d up to the largest root
+    roots, ell = chi.integer_roots(), arr.dim
+    normals = [h.coeffs for h in arr.hyperplanes]
+    for d in range(max(roots) + 1):
+        rows = _condition_rows(arr.domain, normals, [1] * len(normals), d)
+        dim = ell * math.comb(d + ell - 1, ell - 1) - rank_of_rows(arr.domain, rows)
+        assert dim == sum(math.comb(d - e + ell - 1, ell - 1) for e in roots if e <= d)
+    return roots
+
+
+def b3():
+    units = [tuple(F(int(i == k)) for i in range(3)) for k in range(3)]
+    pairs = [
+        tuple(F(1) if i == a else F(s) if i == b else F(0) for i in range(3))
+        for a in range(3)
+        for b in range(a + 1, 3)
+        for s in (1, -1)
+    ]
+    return make_arrangement(QQ, 3, [make_hyperplane(QQ, c, F(0)) for c in units + pairs])
+
+
+def test_kernel_dims_in_three_and_four_variables():
+    arr = b3()
+    assert assert_kernel_dims_follow_chi(arr, chi_poset(arr)) == [1, 3, 5]
+    # the extended Catalan graph, l = 3, m = 1: its cone as built (ell = 4,
+    # 10 hyperplanes, lineality 1) and its bias side over Q(q)
+    g = make_family("catalan", 3, 1)
+    cone = build_cone(build_affinographic(g))
+    assert (cone.dim, len(cone.hyperplanes)) == (4, 10)
+    assert assert_kernel_dims_follow_chi(cone, chi_of_kind(g, "cone")) == [0, 1, 4, 5]
+    bias = build_bias(g)
+    assert bias.domain is QQ_Q
+    assert assert_kernel_dims_follow_chi(bias, chi_of_kind(g, "bias")) == [1, 5, 6]
+
+
+def derivation(ell, d, terms):
+    """The vector of sum c x^e d/dx_i over (i, e, c) in _condition_rows'
+    column layout."""
+    monos = lowdim._monomials(ell, d)
+    v = [F(0)] * (ell * len(monos))
+    for i, e, c in terms:
+        v[i * len(monos) + monos.index(e)] = F(c)
+    return v
+
+
+def power_sum(k, times=(0, 0, 0)):
+    # x^times * sum x_i^k d/dx_i
+    e = [tuple(t + k * (j == i) for j, t in enumerate(times)) for i in range(3)]
+    return (k + sum(times), derivation(3, k + sum(times), [(i, e[i], 1) for i in range(3)]))
+
+
+def test_saito_accepts_the_b3_basis_and_rejects_a_multiple():
+    normals = [h.coeffs for h in b3().hyperplanes]
+    ones = [1] * len(normals)
+    basis = [power_sum(1), power_sum(3), power_sum(5)]
+    assert lowdim._is_saito_basis(QQ, normals, ones, basis)
+    # x1^2 * sum x_i^3 d/dx_i has degree 5 too, but lies in S theta_3
+    assert not lowdim._is_saito_basis(QQ, normals, ones, basis[:2] + [power_sum(3, (2, 0, 0))])
+    # two of them are not a basis of a rank-3 module
+    assert not lowdim._is_saito_basis(QQ, normals, ones, basis[:2])
+
+
+def test_saito_needs_multiples_of_degree_m():
+    # y^2: x d/dx and y d/dx lie in D and are independent as vectors, and
+    # their only relation, y (x d/dx) - x (y d/dx), has degree |m| = 2
+    normals, mults = [Y], [2]
+    x_dx = (1, derivation(2, 1, [(0, (1, 0), 1)]))
+    y_dx = (1, derivation(2, 1, [(0, (0, 1), 1)]))
+    assert not lowdim._is_saito_basis(QQ, normals, mults, [x_dx, y_dx])
+    dx = (0, derivation(2, 0, [(0, (0, 0), 1)]))
+    y2_dy = (2, derivation(2, 2, [(1, (0, 2), 1)]))
+    assert lowdim._is_saito_basis(QQ, normals, mults, [dx, y2_dy])
+
+
+def test_saito_checks_each_derivation_against_the_conditions():
+    # d/dx and x^2 d/dy have degrees summing to |m| = 2 and determinant x^2,
+    # but x^2 d/dy sends y to x^2, which y^2 does not divide
+    dx = (0, derivation(2, 0, [(0, (0, 0), 1)]))
+    x2_dy = (2, derivation(2, 2, [(1, (2, 0), 1)]))
+    assert not lowdim._is_saito_basis(QQ, [Y], [2], [dx, x2_dy])
+
+
+def test_saito_over_q_of_q_decides_what_q_equal_2_leaves_open():
+    D = QQ_Q
+    q = D.q
+    qm2 = D.sub(q, D.from_int(2))
+    lines, mults = [(D.one, D.zero), (D.zero, D.one)], [1, 1]
+
+    def theta(cx, cy):  # cx x d/dx + cy y d/dy
+        v = [D.zero] * 4
+        v[1], v[2] = cx, cy  # x is monomial (1, 0), y is (0, 1)
+        return (1, v)
+
+    x_dx = theta(D.one, D.zero)
+    # independent, but equal to x d/dx at q = 2
+    assert lowdim._is_saito_basis(D, lines, mults, [x_dx, theta(D.one, qm2)])
+    # a denominator that vanishes at q = 2
+    assert lowdim._is_saito_basis(D, lines, mults, [x_dx, theta(D.one, D.inv(qm2))])
+    assert not lowdim._is_saito_basis(D, lines, mults, [x_dx, theta(qm2, D.zero)])
+
+
+def binary_det(D, t1, d1, t2, d2):
+    """Coefficients of P1 Q2 - Q1 P2 for theta_k = P_k d/dx + Q_k d/dy, the
+    determinant that the rank form of Saito's test stands in for."""
+
+    def mul(a, b):
+        out = [D.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = D.add(out[i + j], D.mul(x, y))
+        return out
+
+    p1, q1, p2, q2 = t1[: d1 + 1], t1[d1 + 1 :], t2[: d2 + 1], t2[d2 + 1 :]
+    return [D.sub(a, b) for a, b in zip(mul(p1, q2), mul(q1, p2))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.sampled_from(q_slopes), min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(1, 2), min_size=3, max_size=3),
+    st.data(),
+)
+def test_saito_rank_matches_the_determinant_over_q_of_q(slopes, mults, data):
+    # combinations of kernel vectors, with coefficients that vanish at q = 2
+    # or are zero, are a basis iff their determinant is nonzero
+    D = QQ_Q
+    m = make_multiarrangement2d(D, [(q_line(s), k) for s, k in zip(slopes, mults)])
+    coeffs = [D.zero, D.one, D.from_int(-1), D.q, D.sub(D.q, D.from_int(2))]
+    thetas = []
+    for d in exp2_solver(m):
+        basis = nullspace(D, _condition_rows(D, m.lines, m.mults, d), 2 * d + 2)
+        theta = [D.zero] * (2 * d + 2)
+        for v in basis:
+            c = data.draw(st.sampled_from(coeffs))
+            theta = [D.add(x, D.mul(c, y)) for x, y in zip(theta, v)]
+        thetas.append((d, theta))
+    (d1, t1), (d2, t2) = thetas
+    det_nonzero = any(not D.is_zero(x) for x in binary_det(D, t1, d1, t2, d2))
+    assert lowdim._is_saito_basis(D, m.lines, m.mults, thetas) == det_nonzero
+
+
 def test_from_ziegler():
     # restricting a rank-3 arrangement leaves a rank-2 multiarrangement
     b3ish = make_arrangement(
@@ -296,8 +460,9 @@ def test_from_ziegler():
     assert len(m.lines) == len(res.hyperplanes)
     with pytest.raises(ArrangementError):
         from_ziegler(b3ish, mult)
-    # one positive multiplicity per line
-    for values in ((0,) + mult.values[1:], mult.values[1:], mult.values + (1,)):
+    # one positive int multiplicity per line, not a bool
+    bad = [(m,) + mult.values[1:] for m in (0, 1.5, True)]
+    for values in bad + [mult.values[1:], mult.values + (1,)]:
         with pytest.raises(ArrangementError):
             from_ziegler(res, Multiplicity(values))
 

@@ -312,6 +312,73 @@ def test_det_and_rref_against_definitions(name):
     check()
 
 
+def rref_kernel(D, rows, width):
+    """The kernel basis read off rref: per free column f, v_f = 1 and
+    v_p = -row[f] on each reduced row with pivot p."""
+    red, pivots = rref(D, rows)
+    basis = []
+    for f in range(width):
+        if f not in pivots:
+            v = [D.zero] * width
+            v[f] = D.one
+            for row, p in zip(red, pivots):
+                v[p] = D.neg(row[f])
+            basis.append(v)
+    return basis
+
+
+@st.composite
+def kernel_problems(draw, D, entry):
+    """(rows, width): up to 5 rows of width 1..5, often with a row that is a
+    combination of two others, so the rank falls short."""
+    width = draw(st.integers(1, 5))
+    row = st.lists(st.one_of(st.just(D.zero), entry), min_size=width, max_size=width)
+    rows = draw(st.lists(row, max_size=5))
+    if len(rows) >= 2 and draw(st.booleans()):
+        a, b = draw(entry), draw(entry)
+        rows.append([D.add(D.mul(a, x), D.mul(b, y)) for x, y in zip(rows[0], rows[1])])
+    return rows, width
+
+
+@pytest.mark.parametrize("name", ["Q", "F5", "Q(q)", "Q(zeta_3)"])
+def test_nullspace_is_the_basis_read_off_rref(name):
+    D, entry = {
+        "Q": (QQ, fractions),
+        "F5": (GF(5), small.map(GF(5).from_int)),
+        "Q(q)": ENTRIES["Q(q)"],
+        "Q(zeta_3)": ENTRIES["Q(zeta_3)"],
+    }[name]
+    deficient = 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_problems(D, entry))
+    def check(problem):
+        nonlocal deficient
+        rows, width = problem
+        got, want = nullspace(D, rows, width), rref_kernel(D, rows, width)
+        assert len(got) == len(want)
+        for u, v in zip(got, want):
+            assert all(D.eq(x, y) for x, y in zip(u, v)), (rows, got, want)
+        deficient += len(rref(D, rows)[1]) < min(len(rows), width)
+
+    check()
+    assert deficient
+
+
+def test_rationals_row_primitive_is_a_primitive_integer_row():
+    F = Fraction
+    assert QQ.row_primitive([F(1, 2), F(-1, 3), F(0)]) == [3, -2, 0]
+    assert QQ.row_primitive([F(2, 3), F(4, 5)]) == [5, 6]
+    assert QQ.row_primitive([F(6), F(-4), F(10)]) == [3, -2, 5]
+    assert QQ.row_primitive([F(0), F(0)]) == [0, 0]
+    assert all(isinstance(x, Fraction) for x in QQ.row_primitive([F(1, 2), F(3)]))
+    # an in-domain tracker over Q keeps its rows primitive integer vectors
+    t = SpanTracker(QQ, 3)
+    for row in ([F(1, 2), F(1, 3), F(0)], [F(2, 7), F(0), F(5, 3)], [F(1), F(1), F(1)]):
+        t.add(row)
+    assert all(x.denominator == 1 for r in t.rows for x in r)
+
+
 def test_zero_row_keeps_q0_above_two():
     # with a zero row the product of the row norms would be 0 and q0 = 2,
     # where (1, q, 0) and (1, 2, 0) coincide; the norm floor keeps rank 2
